@@ -7,21 +7,23 @@ so vec(AXB) = (B^T (x) A) vec(X) and a Kraus map sums conj(K) (x) K.
 
 Each channel family comes in two representations.  The plain constructors
 return superoperators on the full embedded space (d^n coordinates); the
-``*_sym`` constructors return the same channel compressed to symmetric-subspace
-coordinates through the type isometry.  The compressed matrices are small
-(sym_dim-sided) and carry exactly the channel's action on symmetric inputs,
-which is the only region where the channel definitions are pinned.
+``*_sym`` constructors return the same channel on symmetric-subspace
+coordinates, written directly from multinomial amplitudes in the type basis
+(no d^n-sided object is built).  Those matrices are small (sym_dim-sided) and
+carry exactly the channel's action on symmetric inputs, which is the only
+region where the channel definitions are pinned; ``compress_superoperator``
+of the full-space channel is the reference they are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import prod, sqrt
 
 import numpy as np
 
-from .exactcomb import binomial, mp_clone_coefficient, sym_dim
+from .exactcomb import binomial, enumerate_types, mp_clone_coefficient, multinomial, sym_dim
 from .guards import guard_dimension
 from .tensorspace import Operator, _sym_projector_matrix, _type_isometry_matrix
 
@@ -190,49 +192,96 @@ def trace_channel(d: int, n: int, k: int) -> Superoperator:
 
 
 # ---------------------------------------------------------------------------
-# the same channels on symmetric-subspace coordinates
+# the same channels on symmetric-subspace coordinates, built in the type basis
 # ---------------------------------------------------------------------------
 
+def _type_split(d: int, p: int, q: int):
+    """Amplitudes of each type state of p+q copies split over the first p and
+    the last q copies, |w> = sum_{a+b=w} A |a>|b> with
+    A = sqrt(M(p,a) M(q,b) / M(p+q,w)) and M the multinomial.
+
+    Returns four flat arrays over the nonzero amplitudes: the column of w in
+    enumerate_types(d, p+q), of a in enumerate_types(d, p), of b in
+    enumerate_types(d, q), and A itself.
+    """
+    wholes = enumerate_types(d, p + q)
+    col_of = {t.entries: c for c, t in enumerate(wholes)}
+    m_whole = [multinomial(p + q, t) for t in wholes]
+    firsts = [(t.entries, multinomial(p, t)) for t in enumerate_types(d, p)]
+    seconds = [(t.entries, multinomial(q, t)) for t in enumerate_types(d, q)]
+    w_idx, a_idx, b_idx, amp = [], [], [], []
+    for ia, (a, ma) in enumerate(firsts):
+        for ib, (b, mb) in enumerate(seconds):
+            col = col_of[tuple(x + y for x, y in zip(a, b))]
+            w_idx.append(col)
+            a_idx.append(ia)
+            b_idx.append(ib)
+            # exact big-int ratio, correctly rounded; it is at most 1
+            amp.append(sqrt(ma * mb / m_whole[col]))
+    return np.array(w_idx), np.array(a_idx), np.array(b_idx), np.array(amp)
+
+
+def _pairs_sharing(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All ordered pairs (i, j) of positions with key[i] == key[j]."""
+    order = np.argsort(key, kind="stable")
+    bounds = np.flatnonzero(np.diff(key[order])) + 1
+    left, right = [], []
+    for group in np.split(order, bounds):
+        left.append(np.repeat(group, group.size))
+        right.append(np.tile(group, group.size))
+    return np.concatenate(left), np.concatenate(right)
+
+
+def _pair_superoperator(out_rows, out_cols, in_rows, in_cols, values, dout: int, din: int) -> np.ndarray:
+    """Superoperator matrix mapping |in_row><in_col| to values |out_row><out_col|
+    (column-stacked); no two entries may share an input and an output."""
+    mat = np.zeros((dout * dout, din * din), dtype=complex)
+    mat[out_rows + out_cols * dout, in_rows + in_cols * din] = values
+    return mat
+
+
 def clone_channel_sym(d: int, n: int, k: int) -> Superoperator:
-    guard_dimension(d ** (n + k))
-    v_in = _type_isometry_matrix(d, n)
-    v_out = _type_isometry_matrix(d, n + k)
-    c = Fraction(sym_dim(d, n), sym_dim(d, n + k))
-    root = np.sqrt(float(c))
-    dk = d**k
-    kraus = [root * (v_out[a::dk, :].conj().T @ v_in) for a in range(dk)]
-    return kraus_superoperator(kraus, (sym_dim(d, n),), (sym_dim(d, n + k),))
+    """The optimal n -> n+k cloner on symmetric coordinates.
+
+    Its Kraus operators depend only on the type b of the k added copies:
+    K_b |t> = sqrt(c M(n,t) / M(n+k,t+b)) |t+b>, with multiplicity M(k,b).
+    """
+    din, dout = sym_dim(d, n), sym_dim(d, n + k)
+    _guard_superoperator(dout, din)
+    w, a, b, amp = _type_split(d, n, k)
+    i, j = _pairs_sharing(b)
+    c = din / dout
+    mat = _pair_superoperator(w[i], w[j], a[i], a[j], c * amp[i] * amp[j], dout, din)
+    return Superoperator(mat, (din,), (dout,))
 
 
 def mp_channel_sym(d: int, n: int, k: int) -> Superoperator:
-    guard_dimension(d ** (n + k))
-    pi = _sym_projector_matrix(d, n + k)
-    v_in = _type_isometry_matrix(d, n)
-    v_out = _type_isometry_matrix(d, k)
-    c = float(Fraction(sym_dim(d, n), sym_dim(d, n + k)))
-    dn, dk = d**n, d**k
-    tensor = pi.reshape(dn, dk, dn, dk)
-    # G[u,v,p,q] = sum_{x,y} Pi[x,u,y,v] V_in[y,p] conj(V_in[x,q])
-    g = np.einsum("xuyv,yp,xq->uvpq", tensor, v_in, v_in.conj(), optimize=True)
-    out = np.einsum("us,uvpq,vt->stpq", v_out.conj(), g, v_out, optimize=True)
-    ds, dn_c = sym_dim(d, k), sym_dim(d, n)
-    mat = c * out.transpose(1, 0, 3, 2).reshape(ds * ds, dn_c * dn_c)
-    return Superoperator(mat, (dn_c,), (ds,))
+    """The optimal n -> k measure-and-prepare channel on symmetric coordinates:
+    |t><t'| -> c sum_b sqrt(M(n,t) M(n,t') M(k,b) M(k,u)) / M(n+k,t+b) |u><b|
+    with u = t + b - t' >= 0."""
+    din, dout = sym_dim(d, n), sym_dim(d, k)
+    _guard_superoperator(dout, din)
+    w, a, b, amp = _type_split(d, n, k)
+    i, j = _pairs_sharing(w)
+    c = din / sym_dim(d, n + k)
+    mat = _pair_superoperator(b[j], b[i], a[i], a[j], c * amp[i] * amp[j], dout, din)
+    return Superoperator(mat, (din,), (dout,))
 
 
 def trace_channel_sym(d: int, n: int, k: int) -> Superoperator:
+    """Partial trace of the last n-k copies on symmetric coordinates.
+
+    Its Kraus operators depend only on the type v of the traced copies:
+    K_v |t> = sqrt(M(k,t-v) / M(n,t)) |t-v>, with multiplicity M(n-k,v).
+    """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    guard_dimension(d**n)
-    v_in = _type_isometry_matrix(d, n)
-    v_out = _type_isometry_matrix(d, k)
-    dr = d ** (n - k)
-    dk = d**k
-    kraus = []
-    for b in range(dr):
-        idx = np.arange(dk) * dr + b
-        kraus.append(v_out.conj().T @ v_in[idx, :])
-    return kraus_superoperator(kraus, (sym_dim(d, n),), (sym_dim(d, k),))
+    din, dout = sym_dim(d, n), sym_dim(d, k)
+    _guard_superoperator(dout, din)
+    w, a, b, amp = _type_split(d, k, n - k)
+    i, j = _pairs_sharing(b)
+    mat = _pair_superoperator(a[i], a[j], w[i], w[j], amp[i] * amp[j], dout, din)
+    return Superoperator(mat, (din,), (dout,))
 
 
 def compress_superoperator(s: Superoperator, d: int, n_in: int, n_out: int) -> Superoperator:

@@ -272,8 +272,7 @@ def cmd_verify_expdefinetti(args) -> Report:
 def cmd_bound_tail(args) -> Report:
     part = concentration.MultiPartition(_parse_dims(args.dims))
     rep = Report("bound tail", {"dims": args.dims, "r": args.r, "gamma": args.gamma, "nmax": args.nmax})
-    gamma = Fraction(args.gamma)
-    result = concentration.tail_bound(part, args.r, gamma, args.nmax)
+    result = concentration.tail_bound(part, args.r, args.gamma, args.nmax)
     rep.table("per_n", ["n", "bound"], [[n, float(v)] for n, v in result.per_n])
     rep.check("all_terms_positive", True, all(v > 0 for _, v in result.per_n))
     rep.check("minimizing_n", result.n_star, result.n_star)
@@ -360,15 +359,57 @@ def cmd_mc_meanpower(args) -> Report:
 # parser
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low: int, what: str):
+    """argparse type: an integer >= low; anything else is a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    parse.__name__ = what  # argparse names the type in its error message
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive integer")
+_nonnegative_int = _int_at_least(0, "nonnegative integer")
+
+
+def _positive_fraction(text: str) -> Fraction:
+    """argparse type: a positive rational such as 9/10 or 0.9."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational like 9/10 or 0.9, got {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
+    return value
+
+
+_SIZE_TYPES = {"d": _positive_int, "n": _nonnegative_int, "k": _nonnegative_int}
+
+
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     """Global flags accepted before or after the subcommand; the subparser
     copies use SUPPRESS defaults so they never clobber values parsed earlier."""
     default = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument("--seed", type=int, default=default(0), help="random seed for all sampling")
-    parser.add_argument("--samples", type=int, default=default(100_000), help="Monte Carlo sample count")
+    parser.add_argument("--samples", type=_positive_int, default=default(100_000), help="Monte Carlo sample count")
     parser.add_argument("--tol-scale", type=float, default=default(1.0), help="multiply default tolerances")
     parser.add_argument("--max-dim", type=int, default=default(None), help="override the dense-operator size cap")
     parser.add_argument("--format", choices=("json", "csv"), default=default("json"), help="report format")
+
+
+def _command(group, name: str, summary: str, handler, sizes: str = "") -> argparse.ArgumentParser:
+    """Register one subcommand with its required size flags (from "dnk") and
+    the global options."""
+    p = group.add_parser(name, help=summary)
+    for size in sizes:
+        p.add_argument(f"--{size}", type=_SIZE_TYPES[size], required=True)
+    _add_global_options(p, suppress=True)
+    p.set_defaults(handler=handler)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,132 +422,59 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_options(parser, suppress=False)
 
     sub = parser.add_subparsers(dest="group", required=True)
-
-    p = sub.add_parser("dims", help="symmetric subspace dimension and type-count identities")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_dims)
-
-    p = sub.add_parser("coeffs", help="hypergeometric clone/measure-and-prepare coefficient table")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_coeffs)
+    _command(sub, "dims", "symmetric subspace dimension and type-count identities", cmd_dims, "dn")
+    _command(sub, "coeffs", "hypergeometric clone/measure-and-prepare coefficient table", cmd_coeffs, "dnk")
 
     verify = sub.add_parser("verify", help="identity checks").add_subparsers(dest="sub", required=True)
-
-    p = verify.add_parser("psym", help="group-average projector: trace, idempotence, type-basis agreement")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_verify_psym)
-
-    p = verify.add_parser("spans", help="tensor powers span the operator space of the symmetric subspace")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_verify_spans)
-
-    p = verify.add_parser("commutant-dim", help="commutant dimension of the permutation action equals sym_dim(d^2, n)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_verify_commutant)
-
-    p = verify.add_parser("chiribella", help="Chiribella's identity: measure-and-prepare as a clone/trace mixture")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _command(verify, "psym", "group-average projector: trace, idempotence, type-basis agreement",
+             cmd_verify_psym, "dn")
+    _command(verify, "spans", "tensor powers span the operator space of the symmetric subspace",
+             cmd_verify_spans, "dn")
+    _command(verify, "commutant-dim", "commutant dimension of the permutation action equals sym_dim(d^2, n)",
+             cmd_verify_commutant, "dn")
+    p = _command(verify, "chiribella", "Chiribella's identity: measure-and-prepare as a clone/trace mixture",
+                 cmd_verify_chiribella, "dnk")
     p.add_argument("--representation", choices=("auto", "full", "sym"), default="auto")
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_verify_chiribella)
-
-    p = verify.add_parser("jacobi", help="Jacobi-polynomial form of the coefficient polynomial, exactly")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_verify_jacobi)
-
-    p = verify.add_parser("wick", help="Gaussian tensor-power moments against Wick/matching formulas")
+    _command(verify, "jacobi", "Jacobi-polynomial form of the coefficient polynomial, exactly",
+             cmd_verify_jacobi, "dnk")
+    p = _command(verify, "wick", "Gaussian tensor-power moments against Wick/matching formulas",
+                 cmd_verify_wick, "dn")
     p.add_argument("--field", choices=("real", "complex"), required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_verify_wick)
-
-    p = verify.add_parser("expdefinetti", help="exact inversion: trace-down equals the signed clone/measure mixture")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_verify_expdefinetti)
+    _command(verify, "expdefinetti", "exact inversion: trace-down equals the signed clone/measure mixture",
+             cmd_verify_expdefinetti, "dnk")
 
     df = sub.add_parser("definetti", help="de Finetti error coefficients").add_subparsers(dest="sub", required=True)
-
-    p = df.add_parser("eps", help="two-term de Finetti error coefficient k(d+k)/(n+d)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_definetti_eps)
-
-    p = df.add_parser("coeffs", help="exponential-decomposition coefficient recursion with exact bounds")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _command(df, "eps", "two-term de Finetti error coefficient k(d+k)/(n+d)", cmd_definetti_eps, "dnk")
+    p = _command(df, "coeffs", "exponential-decomposition coefficient recursion with exact bounds",
+                 cmd_definetti_coeffs, "dnk")
     p.add_argument("--r", type=int, default=None, help="inversion steps (default k)")
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_definetti_coeffs)
 
     bound = sub.add_parser("bound", help="tail bounds").add_subparsers(dest="sub", required=True)
-
-    p = bound.add_parser("tail", help="moment tail bound per n for a random rank-r projector")
+    p = _command(bound, "tail", "moment tail bound per n for a random rank-r projector", cmd_bound_tail)
     p.add_argument("--dims", type=str, required=True, help="comma-separated subsystem dimensions")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--gamma", type=str, required=True, help="overlap threshold (rational like 9/10 or decimal)")
+    p.add_argument("--gamma", type=_positive_fraction, required=True,
+                   help="overlap threshold (rational like 9/10 or decimal)")
     p.add_argument("--nmax", type=int, default=64)
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_bound_tail)
-
-    p = bound.add_parser("smoothgap", help="near-critical-rank single-n tail evaluation")
-    p.add_argument("--d", type=int, required=True)
+    p = _command(bound, "smoothgap", "near-critical-rank single-n tail evaluation", cmd_bound_smoothgap, "d")
     p.add_argument("--x", type=int, required=True)
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_bound_smoothgap)
 
     mc = sub.add_parser("mc", help="Monte Carlo experiments").add_subparsers(dest="sub", required=True)
-
-    p = mc.add_parser("moment", help="projector overlap moment against the exact ratio")
+    p = _command(mc, "moment", "projector overlap moment against the exact ratio", cmd_mc_moment, "n")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_mc_moment)
-
-    p = mc.add_parser("schmidt", help="largest-Schmidt-coefficient tail of random bipartite states")
-    p.add_argument("--d", type=int, required=True)
+    p = _command(mc, "schmidt", "largest-Schmidt-coefficient tail of random bipartite states", cmd_mc_schmidt, "d")
     p.add_argument("--eps", type=float, required=True)
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_mc_schmidt)
-
-    p = mc.add_parser("productfree", help="random subspaces below the product-state dimension threshold")
+    p = _command(mc, "productfree", "random subspaces below the product-state dimension threshold",
+                 cmd_mc_productfree)
     p.add_argument("--dims", type=str, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--trials", type=int, default=20)
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_mc_productfree)
-
-    p = mc.add_parser("meanpower", help="tensor-power mean of unit vectors against the exact operator")
+    p = _command(mc, "meanpower", "tensor-power mean of unit vectors against the exact operator",
+                 cmd_mc_meanpower, "dn")
     p.add_argument("--dist", choices=("haar", "real-unit"), required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--dump-operator", action="store_true", help="embed the mean operator as JSON")
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=cmd_mc_meanpower)
 
     return parser
 

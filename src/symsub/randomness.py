@@ -62,9 +62,16 @@ def _blocks(total: int) -> Iterator[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 def haar_state_batch(d: int, gen: np.random.Generator, count: int) -> np.ndarray:
-    """(count, d) array of Haar-random unit vectors (normalized complex Gaussians)."""
-    z = gen.standard_normal((count, d)) + 1j * gen.standard_normal((count, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    """(count, d) array of Haar-random unit vectors (normalized complex Gaussians).
+
+    The draws go straight into one complex array and are normalized in place;
+    the result is bit-identical to ``(x + 1j*y) / norm`` on the same draws.
+    """
+    z = np.empty((count, d), dtype=complex)
+    z.real = gen.standard_normal((count, d))
+    z.imag = gen.standard_normal((count, d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z
 
 
 def gaussian_batch(d: int, field: str, gen: np.random.Generator, count: int) -> np.ndarray:

@@ -193,21 +193,27 @@ def _transposition_index_map(d: int, n: int, i: int, j: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _symmetrizer_int(d: int, n: int) -> np.ndarray:
-    """Unnormalized symmetrizer sum_pi P(pi) with exact int64 entries.
+    """Unnormalized symmetrizer sum_pi P(pi) with exact integer entries.
 
     Computed by the left-coset cascade S_m = (S_{m-1} (x) I) (I + sum_j T_{j,m}),
     which reproduces the full group sum without enumerating S_n.  Entries are
-    bounded by n!, inside int64 for every n whose d**n (d >= 2) could pass the
-    size guard; d = 1 is handled by the caller and n > 20 refused outright.
+    bounded by n!, so they are held in int32 up to n = 12 and in int64 above,
+    which covers every n whose d**n (d >= 2) could pass the size guard; d = 1
+    is handled by the caller and n > 20 refused outright.
     """
     if n > 20:
         raise ValueError("symmetrizer entries would overflow int64 beyond n = 20")
-    mat = np.eye(d, dtype=np.int64)
+    dtype = np.int32 if factorial(n) <= np.iinfo(np.int32).max else np.int64
+    mat = np.eye(d, dtype=dtype)
     for m in range(2, n + 1):
-        base = np.kron(mat, np.eye(d, dtype=np.int64))
-        total = base.copy()
-        for j in range(m - 1):
-            total += base[:, _transposition_index_map(d, m, j, m - 1)]
+        base = np.kron(mat, np.eye(d, dtype=dtype))
+        # each coset term is a column gather of base into one reused buffer
+        total = np.take(base, _transposition_index_map(d, m, 0, m - 1), axis=1)
+        total += base
+        gathered = np.empty_like(base)
+        for j in range(1, m - 1):
+            np.take(base, _transposition_index_map(d, m, j, m - 1), axis=1, out=gathered)
+            total += gathered
         mat = total
     mat.setflags(write=False)
     return mat
@@ -256,10 +262,12 @@ def _type_isometry_matrix(d: int, n: int) -> np.ndarray:
     else:
         digits = _index_digits(d, n)
         counts = np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
-        norms = {t.entries: 1.0 / np.sqrt(multinomial(n, t)) for t in types}
-        for row in range(dim):
-            t = tuple(int(c) for c in counts[row])
-            mat[row, col_of[t]] = norms[t]
+        seen, inverse = np.unique(counts, axis=0, return_inverse=True)
+        seen_types = [tuple(row) for row in seen.tolist()]
+        cols = np.array([col_of[t] for t in seen_types])
+        norms = np.array([1.0 / np.sqrt(multinomial(n, t)) for t in seen_types])
+        rows_type = inverse.reshape(-1)
+        mat[np.arange(dim), cols[rows_type]] = norms[rows_type]
     mat.setflags(write=False)
     return mat
 

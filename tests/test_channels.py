@@ -326,3 +326,50 @@ def test_mismatched_dimensions_raise():
         compose(trace_channel(2, 3, 1), trace_channel(2, 3, 1))
     with pytest.raises(ValueError):
         apply(trace_channel(2, 3, 1), Operator(np.eye(4), (2, 2), (2, 2)))
+
+
+def test_type_basis_channels_match_compressed_full_grid():
+    # the *_sym channels are built from type-basis amplitudes; the full-space
+    # constructors compressed through the type isometry are the reference.
+    # The full cloner's superoperator has d^(2(n+k)) * d^(2n) entries; the
+    # grid cases above 2^22 entries (64 MiB) are left to the mp and trace
+    # comparisons.
+    grid = [
+        (d, n, k)
+        for d in range(2, 8)
+        for n in range(1, 8)
+        for k in range(1, 8)
+        if d ** (n + k) <= 128
+    ]
+    edges = [(1, 3, 2), (2, 0, 3), (3, 0, 1), (2, 3, 0), (3, 2, 0)]
+    for d, n, k in grid + edges:
+        mp_ref = compress_superoperator(mp_channel(d, n, k), d, n, k)
+        assert np.abs(mp_channel_sym(d, n, k).matrix - mp_ref.matrix).max() <= 1e-13, (d, n, k)
+        if d ** (2 * (n + k) + 2 * n) <= 2**22:
+            clone_ref = compress_superoperator(clone_channel(d, n, k), d, n, n + k)
+            assert np.abs(clone_channel_sym(d, n, k).matrix - clone_ref.matrix).max() <= 1e-13, (d, n, k)
+        if k <= n:
+            tr_ref = compress_superoperator(trace_channel(d, n, k), d, n, k)
+            assert np.abs(trace_channel_sym(d, n, k).matrix - tr_ref.matrix).max() <= 1e-13, (d, n, k)
+
+
+def test_chiribella_sym_beyond_dense_cap():
+    # d^(n+k) = 2^40, far above the default side cap of 2^14; the sym channels
+    # never build an object of that side
+    assert verify_chiribella(2, 20, 20, "sym") <= 1e-10
+
+
+def test_sym_channels_guard_their_own_size():
+    from symsub.guards import DimensionGuardError, set_max_dim
+
+    # 21 x 21 symmetric coordinates on each side: 441 <= 512 passes, even
+    # though d^(n+k) = 2^40 would not
+    set_max_dim(512)
+    try:
+        assert mp_channel_sym(2, 20, 20).matrix.shape == (21**2, 21**2)
+        with pytest.raises(DimensionGuardError):
+            clone_channel_sym(2, 20, 20)  # 41 x 21 = 861 > 512
+        with pytest.raises(DimensionGuardError):
+            trace_channel_sym(2, 40, 20)  # 21 x 41 = 861 > 512
+    finally:
+        set_max_dim(None)

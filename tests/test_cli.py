@@ -162,3 +162,37 @@ def test_max_dim_env_var(capsys, monkeypatch):
     monkeypatch.setenv("SYMSUB_MAX_DIM", "64")
     code, _, _ = _run(capsys, ["verify", "psym", "--d", "2", "--n", "6"])
     assert code == 0
+
+
+def test_expdefinetti_at_dense_cap_passes(capsys):
+    # d^(n+k) = 2^14; the type-basis channels keep this at symmetric size
+    code, doc = _json_run(capsys, ["verify", "expdefinetti", "--d", "2", "--n", "10", "--k", "4"])
+    assert code == 0 and doc["verdict"] == "pass"
+
+
+def test_sym_request_over_superoperator_guard_exits_3(capsys):
+    # 462 x 462 symmetric coordinates exceed the 2^14 superoperator cap
+    argv = ["verify", "chiribella", "--d", "6", "--n", "6", "--k", "6", "--representation", "sym"]
+    code, out, err = _run(capsys, argv)
+    assert code == 3
+    assert "dimension guard" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--d", "0", "--n", "2"],
+        ["bound", "tail", "--dims", "2,2", "--r", "1", "--gamma", "abc"],
+        ["bound", "tail", "--dims", "2,2", "--r", "1", "--gamma", "0"],
+        ["mc", "moment", "--D", "4", "--r", "1", "--n", "2", "--samples", "0"],
+        ["--samples", "-5", "mc", "moment", "--D", "4", "--r", "1", "--n", "2"],
+        ["verify", "chiribella", "--d", "2", "--n", "2", "--k", "-1"],
+    ],
+)
+def test_bad_input_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument" in captured.err

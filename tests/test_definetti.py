@@ -126,3 +126,9 @@ def test_mp_splits_into_trace_plus_cptp_remainder(d, n, k):
     rho /= np.trace(rho).real
     out = unvec(remainder.matrix @ vec(rho), (sym_dim(d, k), sym_dim(d, k)))
     assert abs(np.trace(out).real - 1) <= 1e-10
+
+
+@pytest.mark.parametrize("d,n,k", [(2, 10, 4), (2, 30, 5)])
+def test_inversion_identity_beyond_dense_cap(d, n, k):
+    # d^(n+k) = 2^14 and 2^35: at and far above the default side cap
+    assert verify_exp_definetti(d, n, k) <= 1e-10

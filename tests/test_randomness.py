@@ -170,3 +170,15 @@ def test_haar_moment_operator_normalization():
     assert abs(np.trace(op.entries).real - 1) <= 1e-12
     gauss = complex_gaussian_moment_operator(3, 2)
     assert abs(np.trace(gauss.entries).real - (1 + 1 / 3)) <= 1e-12
+
+
+@pytest.mark.parametrize("d,count", [(1, 1), (2, 7), (16, 1024), (256, 300)])
+def test_haar_state_batch_bit_identical_to_sum_expression(d, count):
+    # the in-place builder must reproduce (x + 1j*y) / norm bit for bit, so
+    # every seeded estimate and report stays unchanged
+    gen = RngStream(31, d).generator()
+    z = gen.standard_normal((count, d)) + 1j * gen.standard_normal((count, d))
+    want = z / np.linalg.norm(z, axis=1, keepdims=True)
+    got = haar_state_batch(d, RngStream(31, d).generator(), count)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -216,3 +216,60 @@ def test_operator_json_roundtrip():
 def test_dimension_guard():
     with pytest.raises(DimensionGuardError):
         sym_projector_group(2, 15)
+
+
+def _type_isometry_by_rows(d, n):
+    """Reference: the row-by-row loop the vectorized builder replaced."""
+    from symsub.exactcomb import enumerate_types, multinomial
+    from symsub.tensorspace import _index_digits
+
+    types = enumerate_types(d, n)
+    col_of = {t.entries: c for c, t in enumerate(types)}
+    norms = {t.entries: 1.0 / np.sqrt(multinomial(n, t)) for t in types}
+    digits = _index_digits(d, n)
+    mat = np.zeros((d**n, len(types)), dtype=complex)
+    for row in range(d**n):
+        t = tuple(int((digits[row] == a).sum()) for a in range(d))
+        mat[row, col_of[t]] = norms[t]
+    return mat
+
+
+@pytest.mark.parametrize("d,n", [(2, 10), (3, 6), (64, 2)])
+def test_type_isometry_matches_row_loop(d, n):
+    from symsub.tensorspace import _type_isometry_matrix
+
+    assert np.array_equal(_type_isometry_matrix(d, n), _type_isometry_by_rows(d, n))
+
+
+def _symmetrizer_by_fancy_index(d, n):
+    """Reference: the int64 coset cascade with one fancy-indexed copy per term."""
+    from symsub.tensorspace import _transposition_index_map
+
+    mat = np.eye(d, dtype=np.int64)
+    for m in range(2, n + 1):
+        base = np.kron(mat, np.eye(d, dtype=np.int64))
+        total = base.copy()
+        for j in range(m - 1):
+            total += base[:, _transposition_index_map(d, m, j, m - 1)]
+        mat = total
+    return mat
+
+
+@pytest.mark.parametrize("d,n", [(2, 10), (3, 6), (4, 4)])
+def test_symmetrizer_matches_reference_cascade(d, n):
+    from symsub.tensorspace import _symmetrizer_int
+
+    got = _symmetrizer_int(d, n)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, _symmetrizer_by_fancy_index(d, n))
+
+
+def test_symmetrizer_dtype_holds_n_factorial():
+    from math import factorial
+
+    from symsub.tensorspace import _symmetrizer_int
+
+    # at d = 1 the single entry is n! itself: 12! fits int32, 13! does not
+    small, large = _symmetrizer_int(1, 12), _symmetrizer_int(1, 13)
+    assert small.dtype == np.int32 and small[0, 0] == factorial(12)
+    assert large.dtype == np.int64 and large[0, 0] == factorial(13)
