@@ -2,8 +2,9 @@
 
 Each subcommand runs one family of checks and prints a machine-readable report
 (JSON by default, CSV for tabular data with --format csv).  Exit status: 0 when
-every check passes, 1 on any failed check, 2 on usage errors, 3 when a
-dimension guard refuses the requested size.
+every check passes, 1 on any failed check, 2 on usage errors and on values the
+library rejects as out of range, 3 when a dimension guard refuses the
+requested size.
 """
 
 from __future__ import annotations
@@ -326,8 +327,14 @@ def cmd_mc_productfree(args) -> Report:
     result = concentration.experiment_product_free(part, args.r, args.restarts, _stream(args), trials=args.trials)
     rep.check("dimension_threshold_met", result.threshold_met, result.threshold_met)
     if result.threshold_met:
-        rep.check("max_product_overlap", "< 0.999", result.max_overlap,
-                  tolerance=1e-3, passed=result.max_overlap < 1.0 - 1e-3)
+        bound = float(result.bound)
+        gamma = concentration.PRODUCT_FREE_GAMMA
+        rep.check("gamma", gamma, gamma)
+        rep.check("trials_at_or_above_gamma", result.exceedances, result.exceedances)
+        rep.check("tail_bound", bound, bound)
+        rep.check("exceedance_fraction", 0.0, Fraction(result.exceedances, result.trials),
+                  tolerance=bound, passed=result.passed)
+        rep.check("max_product_overlap", result.max_overlap, result.max_overlap)
     return rep
 
 
@@ -387,7 +394,12 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
-_SIZE_TYPES = {"d": _positive_int, "n": _nonnegative_int, "k": _nonnegative_int}
+# the range of every integer flag that commands share, declared once
+_INT_FLAGS = {
+    "d": _positive_int, "n": _nonnegative_int, "k": _nonnegative_int,
+    "D": _positive_int, "r": _positive_int, "x": _positive_int,
+    "nmax": _positive_int, "restarts": _positive_int, "trials": _positive_int,
+}
 
 
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -401,12 +413,14 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     parser.add_argument("--format", choices=("json", "csv"), default=default("json"), help="report format")
 
 
-def _command(group, name: str, summary: str, handler, sizes: str = "") -> argparse.ArgumentParser:
-    """Register one subcommand with its required size flags (from "dnk") and
-    the global options."""
+def _command(group, name: str, summary: str, handler, required: str = "", **defaults) -> argparse.ArgumentParser:
+    """Register one subcommand with its required one-letter integer flags
+    (from "dnkDrx"), its integer flags with a default, and the global options."""
     p = group.add_parser(name, help=summary)
-    for size in sizes:
-        p.add_argument(f"--{size}", type=_SIZE_TYPES[size], required=True)
+    for flag in required:
+        p.add_argument(f"--{flag}", type=_INT_FLAGS[flag], required=True)
+    for flag, default in defaults.items():
+        p.add_argument(f"--{flag}", type=_INT_FLAGS[flag], default=default)
     _add_global_options(p, suppress=True)
     p.set_defaults(handler=handler)
     return p
@@ -447,30 +461,23 @@ def build_parser() -> argparse.ArgumentParser:
     _command(df, "eps", "two-term de Finetti error coefficient k(d+k)/(n+d)", cmd_definetti_eps, "dnk")
     p = _command(df, "coeffs", "exponential-decomposition coefficient recursion with exact bounds",
                  cmd_definetti_coeffs, "dnk")
-    p.add_argument("--r", type=int, default=None, help="inversion steps (default k)")
+    p.add_argument("--r", type=_nonnegative_int, default=None, help="inversion steps (default k)")
 
     bound = sub.add_parser("bound", help="tail bounds").add_subparsers(dest="sub", required=True)
-    p = _command(bound, "tail", "moment tail bound per n for a random rank-r projector", cmd_bound_tail)
+    p = _command(bound, "tail", "moment tail bound per n for a random rank-r projector", cmd_bound_tail,
+                 "r", nmax=64)
     p.add_argument("--dims", type=str, required=True, help="comma-separated subsystem dimensions")
-    p.add_argument("--r", type=int, required=True)
     p.add_argument("--gamma", type=_positive_fraction, required=True,
                    help="overlap threshold (rational like 9/10 or decimal)")
-    p.add_argument("--nmax", type=int, default=64)
-    p = _command(bound, "smoothgap", "near-critical-rank single-n tail evaluation", cmd_bound_smoothgap, "d")
-    p.add_argument("--x", type=int, required=True)
+    _command(bound, "smoothgap", "near-critical-rank single-n tail evaluation", cmd_bound_smoothgap, "dx")
 
     mc = sub.add_parser("mc", help="Monte Carlo experiments").add_subparsers(dest="sub", required=True)
-    p = _command(mc, "moment", "projector overlap moment against the exact ratio", cmd_mc_moment, "n")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    _command(mc, "moment", "projector overlap moment against the exact ratio", cmd_mc_moment, "Drn")
     p = _command(mc, "schmidt", "largest-Schmidt-coefficient tail of random bipartite states", cmd_mc_schmidt, "d")
     p.add_argument("--eps", type=float, required=True)
     p = _command(mc, "productfree", "random subspaces below the product-state dimension threshold",
-                 cmd_mc_productfree)
+                 cmd_mc_productfree, "r", restarts=32, trials=20)
     p.add_argument("--dims", type=str, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--trials", type=int, default=20)
     p = _command(mc, "meanpower", "tensor-power mean of unit vectors against the exact operator",
                  cmd_mc_meanpower, "dn")
     p.add_argument("--dist", choices=("haar", "real-unit"), required=True)
@@ -491,6 +498,9 @@ def main(argv=None) -> int:
     except DimensionGuardError as exc:
         print(f"dimension guard: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"symsub: error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if args.max_dim is not None:
             set_max_dim(None)

@@ -114,18 +114,11 @@ def haar_unitary(d: int, stream: RngStream) -> Operator:
     return Operator(q * phases, (d,), (d,))
 
 
-def _haar_unitary_from_gen(d: int, gen: np.random.Generator) -> np.ndarray:
-    z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
-
-
 def random_projector(dim: int, rank: int, stream: RngStream) -> Operator:
     """U^dag Pi_0 U for Haar U and Pi_0 the projector on the first ``rank`` axes."""
     if not 1 <= rank <= dim:
         raise ValueError("need 1 <= rank <= dim")
-    u = _haar_unitary_from_gen(dim, stream.generator())
+    u = haar_unitary(dim, stream).entries
     mat = u.conj().T[:, :rank] @ u[:rank, :]
     return Operator(mat, (dim,), (dim,))
 
@@ -193,15 +186,19 @@ def mc_projector_moment(dim: int, rank: int, n: int, total: int, stream: RngStre
 
     tr(U^dag Pi_0 U |0><0|) is the squared norm of the first ``rank`` entries of
     the first column of U, and that column is itself a Haar unit vector, so the
-    draw reduces to Haar states.
+    draw reduces to Haar states.  With the draws of ``haar_state_batch``,
+    x + iy, the overlap is sum_{j<rank} |z_j|^2 / sum_j |z_j|^2, computed in
+    real arithmetic without forming the normalized complex vectors.
     """
     if not 1 <= rank <= dim:
         raise ValueError("need 1 <= rank <= dim")
     acc1 = 0.0
     acc2 = 0.0
     for block, size in _blocks(total):
-        psi = haar_state_batch(dim, stream.block_generator(block), size)
-        overlap = np.sum(np.abs(psi[:, :rank]) ** 2, axis=1)
+        gen = stream.block_generator(block)
+        sq = np.square(gen.standard_normal((size, dim)))
+        sq += np.square(gen.standard_normal((size, dim)))
+        overlap = sq[:, :rank].sum(axis=1) / sq.sum(axis=1)
         powered = overlap**n
         acc1 += float(powered.sum())
         acc2 += float((powered**2).sum())

@@ -124,19 +124,6 @@ class Permutation:
             inv[img] = i
         return Permutation(tuple(inv))
 
-    def cycle_count(self) -> int:
-        seen = [False] * self.n
-        cycles = 0
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-        return cycles
-
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(n)))

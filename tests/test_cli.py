@@ -196,3 +196,52 @@ def test_bad_input_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: argument" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "moment", "--D", "0", "--r", "1", "--n", "2"],
+        ["bound", "tail", "--dims", "2,2", "--r", "0", "--gamma", "1"],
+        ["bound", "tail", "--dims", "2,2", "--r", "1", "--gamma", "1", "--nmax", "0"],
+        ["bound", "smoothgap", "--d", "2", "--x", "0"],
+        ["mc", "productfree", "--dims", "2,3", "--r", "2", "--trials", "-1"],
+        ["mc", "productfree", "--dims", "2,3", "--r", "2", "--restarts", "0"],
+        ["definetti", "coeffs", "--d", "2", "--n", "4", "--k", "1", "--r", "-1"],
+    ],
+)
+def test_integer_flag_ranges_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["definetti", "coeffs", "--d", "2", "--n", "2", "--k", "5"],
+        ["verify", "expdefinetti", "--d", "2", "--n", "2", "--k", "5"],
+        ["mc", "moment", "--D", "4", "--r", "5", "--n", "2"],
+        ["bound", "tail", "--dims", "2,0", "--r", "1", "--gamma", "1"],
+    ],
+)
+def test_library_range_errors_exit_2(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("symsub: error: ") and err.count("\n") == 1
+
+
+def test_productfree_readme_example_passes_on_tail_statement(capsys):
+    code, doc = _json_run(capsys, ["mc", "productfree", "--dims", "2,3", "--r", "2"])
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert code == 0 and doc["verdict"] == "pass"
+    assert checks["gamma"]["actual"] == "999/1000"
+    # two of the 20 seed-0 trials reach gamma, within the 0.179 tail bound
+    assert checks["trials_at_or_above_gamma"]["actual"] == 2
+    assert checks["exceedance_fraction"]["actual"] == "1/10"
+    assert abs(float(checks["tail_bound"]["actual"]) - 0.17926587835493518) <= 1e-15
+    assert float(checks["max_product_overlap"]["actual"]) >= 999 / 1000

@@ -8,6 +8,7 @@ import pytest
 
 from symsub.concentration import (
     MultiPartition,
+    ProductFreeReport,
     experiment_product_free,
     experiment_schmidt_tail,
     mu_exact,
@@ -257,3 +258,14 @@ def test_product_free_threshold_not_met():
     assert not report.threshold_met
     assert report.trials == 0
     assert report.overlaps == ()
+
+
+def test_product_free_pass_rule_is_the_tail_statement():
+    part = MultiPartition((2, 3))
+    bound = tail_bound(part, 2, Fraction(999, 1000), n_max=600).bound
+    common = dict(dims=(2, 3), rank=2, threshold_met=True, trials=10)
+    one = ProductFreeReport(overlaps=(0.9995,) + (0.5,) * 9, max_overlap=0.9995, **common)
+    assert one.exceedances == 1 and one.bound == bound and one.passed
+    # 2/10 exceeds the 0.179 bound; an overlap below gamma does not count
+    two = ProductFreeReport(overlaps=(0.9995, 1.0, 0.9989) + (0.5,) * 7, max_overlap=1.0, **common)
+    assert two.exceedances == 2 and not two.passed
