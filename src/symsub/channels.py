@@ -147,14 +147,9 @@ def clone_channel(d: int, n: int, k: int) -> Superoperator:
     _guard_superoperator(d ** (n + k), d**n)
     pi = _sym_projector_matrix(d, n + k)
     c = Fraction(sym_dim(d, n), sym_dim(d, n + k))
-    dn, dk = d**n, d**k
+    dk = d**k
     root = np.sqrt(float(c))
-    eye = np.eye(dn)
-    kraus = []
-    for a in range(dk):
-        embed = np.zeros((dn * dk, dn))
-        embed[a::dk, :] = eye  # I (x) |a>
-        kraus.append(root * (pi @ embed))
+    kraus = [root * pi[:, a::dk] for a in range(dk)]  # Pi (I (x) |a>)
     return kraus_superoperator(kraus, _dims(d, n), _dims(d, n + k))
 
 
@@ -182,12 +177,8 @@ def trace_channel(d: int, n: int, k: int) -> Superoperator:
         raise ValueError("need 0 <= k <= n")
     guard_dimension(d**n)
     _guard_superoperator(d**k, d**n)
-    dk, dr = d**k, d ** (n - k)
-    kraus = []
-    for b in range(dr):
-        eb = np.zeros((1, dr))
-        eb[0, b] = 1.0
-        kraus.append(np.kron(np.eye(dk), eb))
+    dr, eye = d ** (n - k), np.eye(d**n)
+    kraus = [eye[b::dr] for b in range(dr)]  # I (x) <b|
     return kraus_superoperator(kraus, _dims(d, n), _dims(d, k))
 
 

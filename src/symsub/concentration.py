@@ -14,7 +14,7 @@ import numpy as np
 
 from .exactcomb import sym_dim
 from .guards import guard_dimension
-from .randomness import RngStream, haar_state_batch, random_projector
+from .randomness import RngStream, _blocks, haar_state_batch, random_projector
 from .tensorspace import Operator, sym_projector_group
 
 
@@ -38,29 +38,15 @@ class MultiPartition:
         return len(self.dims)
 
 
-def _interleave_map(dims: tuple[int, ...], n: int) -> np.ndarray:
-    """sigma with W|copy-major x> = |system-major sigma(x)> for n copies.
-
-    Copy-major digit order is (copy 1: d_1..d_k, copy 2: d_1..d_k, ...);
-    system-major groups all n copies of system 1, then system 2, etc.
-    """
-    k = len(dims)
-    total = prod(dims) ** n
-    radices_copy = list(dims) * n
-    digits = np.empty((total, n * k), dtype=np.int64)
-    rem = np.arange(total)
-    for pos in reversed(range(n * k)):
-        digits[:, pos] = rem % radices_copy[pos]
-        rem //= radices_copy[pos]
-    radices_sys = [dims[i] for i in range(k) for _ in range(n)]
-    pv = np.ones(n * k, dtype=np.int64)
-    for pos in reversed(range(n * k - 1)):
-        pv[pos] = pv[pos + 1] * radices_sys[pos + 1]
-    sigma = np.zeros(total, dtype=np.int64)
-    for i in range(k):
-        for c in range(n):
-            sigma += digits[:, c * k + i] * pv[i * n + c]
-    return sigma
+def _partition_operator(op: Operator, part: MultiPartition) -> Operator:
+    """op with the partition's subsystem dims; a flat square operator of side
+    part.total is relabelled, any other mismatch raises."""
+    dims = part.dims
+    if op.row_dims == op.col_dims and op.row_dim == part.total and len(op.row_dims) != part.parties:
+        op = Operator(op.entries, dims, dims)
+    if op.row_dims != dims or op.col_dims != dims:
+        raise ValueError(f"operator dims {op.row_dims} do not match partition {dims}")
+    return op
 
 
 def mu_exact(op: Operator, part: MultiPartition, n: int) -> float:
@@ -68,23 +54,22 @@ def mu_exact(op: Operator, part: MultiPartition, n: int) -> float:
     product states, evaluated exactly via per-system symmetric projectors.
 
     Equals tr[P^(x n) W^dag ((x)_i Pi_sym^(d_i,n)/sym_dim) W] with W the
-    copy/system interleaving permutation; W enters only as an index map and
+    copy/system interleaving permutation; W enters only as an axis transpose and
     P^(x n) is contracted one copy at a time, so a single dense matrix of side
     total**n is the peak memory.
     """
+    op = _partition_operator(op, part)
     dims = part.dims
-    if op.row_dims == op.col_dims and op.row_dim == part.total and len(op.row_dims) != part.parties:
-        op = Operator(op.entries, dims, dims)
-    if op.row_dims != dims or op.col_dims != dims:
-        raise ValueError(f"operator dims {op.row_dims} do not match partition {dims}")
     total = part.total
     guard_dimension(total**n, "moment matrix")
     moments = [
         sym_projector_group(d, n).entries / sym_dim(d, n) for d in dims
     ]
-    kq = reduce(np.kron, moments)
-    sigma = _interleave_map(dims, n)
-    mat = kq[np.ix_(sigma, sigma)]
+    # the kron is system-major, one axis per (system i, copy c) at i*n + c;
+    # a single transpose regroups rows and columns copy-major at c*k + i
+    kq = reduce(np.kron, moments).reshape(tuple(d for d in dims for _ in range(n)) * 2)
+    order = [i * n + c for c in range(n) for i in range(part.parties)]
+    mat = kq.transpose(order + [len(order) + a for a in order])
     tensor = mat.reshape((total,) * n + (total,) * n)
     pm = op.entries
     for step in range(n):
@@ -127,11 +112,8 @@ def nu_max(
     two parties and a rank-one PSD operator the exact value is returned via
     the Schmidt decomposition.
     """
+    op = _partition_operator(op, part)
     dims = part.dims
-    if op.row_dims == op.col_dims and op.row_dim == part.total and len(op.row_dims) != part.parties:
-        op = Operator(op.entries, dims, dims)
-    if op.row_dims != dims or op.col_dims != dims:
-        raise ValueError(f"operator dims {op.row_dims} do not match partition {dims}")
     if np.abs(op.entries - op.entries.conj().T).max() > 1e-10:
         raise ValueError("nu_max requires a Hermitian operator")
     exact = _bipartite_rank_one_nu(op, part, 1e-10)
@@ -203,6 +185,8 @@ def tail_bound_term(part: MultiPartition, rank: int, gamma: Fraction, n: int) ->
     g = Fraction(gamma)
     if g <= 0:
         raise ValueError("gamma must be positive")
+    if not 1 <= rank <= part.total:
+        raise ValueError("need 1 <= rank <= prod(dims)")
     num = sym_dim(rank, n)
     for d in part.dims:
         num *= sym_dim(d, n)
@@ -314,17 +298,12 @@ def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStr
     threshold = 16.0 / (np.e * d) * exp(epsilon)
     exceed = 0
     top_sum = 0.0
-    done = 0
-    block = 0
-    while done < samples:
-        size = min(1024, samples - done)
+    for block, size in _blocks(samples):
         psi = haar_state_batch(d * d, stream.block_generator(block), size)
         svals = np.linalg.svd(psi.reshape(size, d, d), compute_uv=False)
         lam = svals[:, 0] ** 2
         exceed += int(np.sum(lam >= threshold))
         top_sum += float(lam.sum())
-        done += size
-        block += 1
     return SchmidtTailReport(
         d=d, samples=samples, epsilon=epsilon, threshold=threshold,
         exceedances=exceed, fraction=exceed / samples, bound=exp(-d * epsilon),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .exactcomb import real_moment_ratio, sym_dim
 from .guards import guard_dimension
-from .tensorspace import Operator, enumerate_matchings, matching_operator, sym_projector_group
+from .tensorspace import Operator, _tensor_power_rows, enumerate_matchings, matching_operator, sym_projector_group
 
 BLOCK_SIZE = 1024
 
@@ -143,14 +143,6 @@ class ScalarEstimate:
     samples: int
 
 
-def _tensor_power_rows(vectors: np.ndarray, n: int) -> np.ndarray:
-    """Row-wise n-fold Kronecker power: (m, d) -> (m, d**n)."""
-    out = vectors
-    for _ in range(n - 1):
-        out = (out[:, :, None] * vectors[:, None, :]).reshape(out.shape[0], -1)
-    return out
-
-
 def mc_tensor_power_mean(
     sampler: Callable[[np.random.Generator, int], np.ndarray],
     n: int,
@@ -229,25 +221,25 @@ def complex_gaussian_moment_operator(d: int, n: int) -> Operator:
     return Operator(proj.entries * scale, proj.row_dims, proj.col_dims)
 
 
-def real_gaussian_moment_operator(d: int, n: int) -> Operator:
-    """E v^(x n) = d^-n sum over perfect matchings of sigma_M (Wick's theorem)."""
+def _matching_sum(d: int, n: int) -> np.ndarray:
+    """sum over perfect matchings M of [2n] of sigma_M, as a dense matrix."""
     guard_dimension(d**n)
     acc = None
     for matching in enumerate_matchings(n):
         term = matching_operator(d, n, matching).entries
         acc = term if acc is None else acc + term
-    return Operator(acc / d**n, (d,) * n, (d,) * n)
+    return acc
+
+
+def real_gaussian_moment_operator(d: int, n: int) -> Operator:
+    """E v^(x n) = d^-n sum over perfect matchings of sigma_M (Wick's theorem)."""
+    return Operator(_matching_sum(d, n) / d**n, (d,) * n, (d,) * n)
 
 
 def real_unit_moment_operator(d: int, n: int) -> Operator:
     """E gamma^(x n) for real unit vectors: the matching sum times the exact
     rational 1/(d(d+2)...(d+2n-2))."""
-    guard_dimension(d**n)
-    acc = None
-    for matching in enumerate_matchings(n):
-        term = matching_operator(d, n, matching).entries
-        acc = term if acc is None else acc + term
-    return Operator(acc * float(real_moment_ratio(d, n)), (d,) * n, (d,) * n)
+    return Operator(_matching_sum(d, n) * float(real_moment_ratio(d, n)), (d,) * n, (d,) * n)
 
 
 def projector_moment_exact(dim: int, rank: int, n: int) -> Fraction:

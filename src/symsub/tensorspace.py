@@ -4,7 +4,8 @@ Conventions used throughout:
 
 * Subsystems are 0-indexed and ordered; composite basis index
   ``x = sum_m x_m * prod(dims[m+1:])`` (first factor most significant,
-  matching ``numpy.kron``).
+  matching ``numpy.kron`` and numpy's C-order ``reshape``, from which every
+  basis-index map here is derived).
 * A permutation ``pi`` acts by moving the content of tensor slot ``l`` to slot
   ``pi(l)``, i.e. ``P(pi)|x_0,...,x_{n-1}> = |y>`` with ``y[pi(l)] = x[l]``.
   This makes ``P`` a homomorphism: ``P(pi1 o pi2) = P(pi1) P(pi2)``.
@@ -134,28 +135,23 @@ def all_permutations(n: int) -> list[Permutation]:
     return [Permutation(images) for images in iter_permutations(range(n))]
 
 
+def _index_grid(d: int, n: int) -> np.ndarray:
+    """Composite basis indices of (C^d)^(x n) on n axes of length d: the
+    C-order layout fixes the first factor as most significant."""
+    return np.arange(d**n).reshape((d,) * n)
+
+
 @lru_cache(maxsize=None)
 def _index_digits(d: int, n: int) -> np.ndarray:
     """(d**n, n) array of big-endian base-d digits of 0..d**n-1; read-only."""
-    idx = np.arange(d**n)
-    digits = np.empty((d**n, n), dtype=np.int64)
-    for pos in range(n):
-        digits[:, n - 1 - pos] = (idx // d**pos) % d
+    digits = np.indices((d,) * n).reshape(n, d**n).T
     digits.setflags(write=False)
     return digits
 
 
-def _place_values(d: int, n: int) -> np.ndarray:
-    return np.array([d ** (n - 1 - m) for m in range(n)], dtype=np.int64)
-
-
 def permutation_index_map(d: int, pi: Permutation) -> np.ndarray:
     """Index map t with P(pi)|x> = |t[x]> on the composite basis of (C^d)^(x n)."""
-    n = pi.n
-    digits = _index_digits(d, n)
-    out_digits = np.empty_like(digits)
-    out_digits[:, list(pi.images)] = digits
-    return out_digits @ _place_values(d, n)
+    return _index_grid(d, pi.n).transpose(pi.images).reshape(-1)
 
 
 def permutation_operator(d: int, pi: Permutation) -> Operator:
@@ -173,9 +169,7 @@ def permutation_operator(d: int, pi: Permutation) -> Operator:
 # ---------------------------------------------------------------------------
 
 def _transposition_index_map(d: int, n: int, i: int, j: int) -> np.ndarray:
-    digits = _index_digits(d, n).copy()
-    digits[:, [i, j]] = digits[:, [j, i]]
-    return digits @ _place_values(d, n)
+    return _index_grid(d, n).swapaxes(i, j).reshape(-1)
 
 
 @lru_cache(maxsize=None)
@@ -325,14 +319,13 @@ def matching_operator(d: int, n: int, matching: Matching) -> Operator:
         raise ValueError("matching size does not match n")
     dim = d**n
     guard_dimension(dim)
-    free = _index_digits(d, n)  # one free digit per pair
-    full = np.empty((dim, 2 * n), dtype=np.int64)
-    for pair_idx, (a, b) in enumerate(matching.pairs):
-        full[:, a] = free[:, pair_idx]
-        full[:, b] = free[:, pair_idx]
-    pv = _place_values(d, n)
-    rows = full[:, :n] @ pv
-    cols = full[:, n:] @ pv
+    pair_of = np.empty(2 * n, dtype=np.int64)  # the pair holding each slot
+    for pair_idx, pair in enumerate(matching.pairs):
+        pair_of[list(pair)] = pair_idx
+    slot_digits = _index_digits(d, n)[:, pair_of]  # each slot takes its pair's free digit
+    grid = _index_grid(d, n)
+    rows = grid[tuple(slot_digits[:, :n].T)]
+    cols = grid[tuple(slot_digits[:, n:].T)]
     mat = np.zeros((dim, dim))
     mat[rows, cols] = 1.0
     return Operator(mat, (d,) * n, (d,) * n)
@@ -392,6 +385,14 @@ def conjugation_fixed_dimension(d: int, n: int) -> int:
     return quotient
 
 
+def _tensor_power_rows(vectors: np.ndarray, n: int) -> np.ndarray:
+    """Row-wise n-fold Kronecker power: (m, d) -> (m, d**n)."""
+    out = vectors
+    for _ in range(n - 1):
+        out = (out[:, :, None] * vectors[:, None, :]).reshape(out.shape[0], -1)
+    return out
+
+
 def tensor_power_span_rank(d: int, n: int, samples: int, stream) -> int:
     """Numerical rank of the span of sampled tensor-power projectors phi^(x n).
 
@@ -404,14 +405,9 @@ def tensor_power_span_rank(d: int, n: int, samples: int, stream) -> int:
         raise ValueError(f"need at least {needed} samples for (d, n)=({d}, {n})")
     dim = d**n
     guard_dimension(dim)
-    gen = stream.generator()
-    rows = np.empty((samples, dim * dim), dtype=complex)
-    for i in range(samples):
-        v = gen.standard_normal(d) + 1j * gen.standard_normal(d)
-        v /= np.linalg.norm(v)
-        w = v
-        for _ in range(n - 1):
-            w = np.kron(w, v)
-        rows[i] = np.kron(w.conj(), w)  # column-stacked |w><w|
+    z = stream.generator().standard_normal((samples, 2, d))
+    v = z[:, 0] + 1j * z[:, 1]
+    w = _tensor_power_rows(v / np.linalg.norm(v, axis=1, keepdims=True), n)
+    rows = (w.conj()[:, :, None] * w[:, None, :]).reshape(samples, dim * dim)  # column-stacked |w><w|
     svals = np.linalg.svd(rows, compute_uv=False)
     return int(np.sum(svals > 1e-8))

@@ -245,3 +245,11 @@ def test_productfree_readme_example_passes_on_tail_statement(capsys):
     assert checks["exceedance_fraction"]["actual"] == "1/10"
     assert abs(float(checks["tail_bound"]["actual"]) - 0.17926587835493518) <= 1e-15
     assert float(checks["max_product_overlap"]["actual"]) >= 999 / 1000
+
+
+def test_bound_tail_rank_above_total_exits_2(capsys):
+    code, out, err = _run(capsys, ["bound", "tail", "--dims", "2,2", "--r", "9", "--gamma", "1", "--nmax", "3"])
+    assert code == 2 and out == ""
+    assert err == "symsub: error: need 1 <= rank <= prod(dims)\n"
+    code, doc = _json_run(capsys, ["bound", "tail", "--dims", "2,2", "--r", "4", "--gamma", "1", "--nmax", "3"])
+    assert code == 0 and doc["tables"]["per_n"]["rows"] == [[1, "4"], [2, "9"], [3, "16"]]

@@ -269,3 +269,13 @@ def test_product_free_pass_rule_is_the_tail_statement():
     # 2/10 exceeds the 0.179 bound; an overlap below gamma does not count
     two = ProductFreeReport(overlaps=(0.9995, 1.0, 0.9989) + (0.5,) * 7, max_overlap=1.0, **common)
     assert two.exceedances == 2 and not two.passed
+
+
+def test_tail_bound_rejects_rank_outside_one_to_total():
+    for rank in (0, 5, 9):
+        with pytest.raises(ValueError, match=r"need 1 <= rank <= prod\(dims\)"):
+            tail_bound_term(PART22, rank, Fraction(1), 3)
+    with pytest.raises(ValueError, match=r"need 1 <= rank <= prod\(dims\)"):
+        tail_bound(PART22, 9, 1, n_max=3)
+    # rank = D is allowed: the rank and total factors cancel
+    assert tail_bound_term(PART22, 4, Fraction(1), 3) == sym_dim(2, 3) ** 2
