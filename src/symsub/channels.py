@@ -298,13 +298,16 @@ def f_overlap(d: int, n: int, k: int, x: Fraction | int) -> Fraction:
     c = sym_dim(d,n)/sym_dim(d,n+k); equals tr[beta^(x k) MP(alpha^(x n))] at
     x = |<alpha|beta>|^2."""
     xf = Fraction(x)
-    acc = Fraction(0)
-    power = Fraction(1)
+    p, q = xf.numerator, xf.denominator
     denom = binomial(n + k, k)
-    for s in range(k + 1):
-        acc += Fraction(binomial(k, s) * binomial(n, s), denom) * power
-        power *= xf
-    return estimation_fidelity(d, n, k) * acc
+    acc, power = 0, 1
+    for s in range(k + 1):  # acc = sum_s C(k,s) C(n,s) p^s q^(k-s)
+        acc = acc * q + binomial(k, s) * binomial(n, s) * power
+        power *= p
+    fidelity = estimation_fidelity(d, n, k)
+    if k < 0:  # the empty sum
+        return Fraction(0)
+    return Fraction(fidelity.numerator * acc, fidelity.denominator * denom * q**k)
 
 
 def chiribella_coefficient_identity(d: int, n: int, k: int, s: int) -> bool:

@@ -199,6 +199,8 @@ def tail_bound(part: MultiPartition, rank: int, gamma, n_max: int = 64) -> TailB
     Bounds Pr[nu(Pi) >= gamma] for a Haar-random rank-``rank`` projector.
     Floats passed as gamma are converted exactly (binary expansion).
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     g = Fraction(gamma)
     per = []
     best_n, best = 1, None

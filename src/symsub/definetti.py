@@ -7,12 +7,20 @@ Notation used in this module, for fixed (d, n, k) with k <= n:
 * B_s = clone_{k-s -> k} o MP_{n -> k-s}
 * M_{j,s} = mp_clone_coefficient(d, n, j, s)
 
-The expansion B_r = sum_{s >= r} M_{k-r, k-s} A_s (a reindexed instance of the
-measure-and-prepare identity composed with a cloner) is inverted step by step:
-after r steps, A_0 = sum_{s<r} x_s B_s + sum_{s>=r} y_s^(r) A_s with exact
-rational coefficients.  At r = k the leftover term A_k equals B_k (both reduce
-to "trace everything, prepare the normalized symmetric state"), giving the
-clean form tr_{n-k} = sum_s x_s clone_{k-s -> k} o MP_{n -> k-s}.
+The expansion B_r = sum_{s >= r} T[r][s] A_s with T[r][s] = M_{k-r, k-s} (a
+reindexed instance of the measure-and-prepare identity composed with a cloner)
+is inverted step by step: after r steps, A_0 = sum_{s<r} x_s B_s +
+sum_{s>=r} y_s^(r) A_s with exact rational coefficients.  At r = k the leftover
+term A_k equals B_k (both reduce to "trace everything, prepare the normalized
+symmetric state"), giving the clean form
+tr_{n-k} = sum_s x_s clone_{k-s -> k} o MP_{n -> k-s}.
+
+The inversion is solved in integers.  T factors as D_row^-1 V D_col with
+D_row[r] = C(d+n+k-r-1, k-r), D_col[s] = C(n, k-s) and the unit upper-triangular
+integer matrix V[r][s] = C(d-1+k-r, s-r), which does not depend on n.  With the
+integer row w = e_0 V^-1,
+x_s = w_s C(d+n+k-s-1, k-s) / C(n, k) and
+y_s^(r) = delta_{s0} - C(n, k-s) sum_{s'<r} w_{s'} V[s'][s] / C(n, k) for s >= r.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from .channels import (
     mp_channel_sym,
     trace_channel_sym,
 )
-from .exactcomb import mp_clone_coefficient
+from .exactcomb import binomial, mp_clone_coefficient
 
 
 def definetti_epsilon(d: int, n: int, k: int) -> Fraction:
@@ -66,29 +74,31 @@ def exp_definetti_coefficients(d: int, n: int, k: int, r: int) -> DeFinettiCoeff
     """Run the inversion recursion for r steps, exactly.
 
     Base case r=0 is A_0 = 1 * A_0.  Each step replaces the leading A_r term,
-    using A_r = B_r / M_{k-r,k-r} - sum_{s>r} (M_{k-r,k-s}/M_{k-r,k-r}) A_s,
-    so x_r = y_r^(r) / M_{k-r,k-r} and
-    y_s^(r+1) = y_s^(r) - (M_{k-r,k-s}/M_{k-r,k-r}) y_r^(r).
+    using A_r = B_r / M_{k-r,k-r} - sum_{s>r} (M_{k-r,k-s}/M_{k-r,k-r}) A_s.
+    The steps are the forward substitution w_s = delta_{s0} - sum_{s'<s} w_{s'} V[s'][s]
+    on the integer system w V = e_0 (module docstring); acc[s] holds the sum
+    over the rows substituted so far, and each row of V is stepped as
+    C(m, j+1) = C(m, j) (m-j) / (j+1) with m = d-1+k-s'.
     """
     if not (0 <= r <= k <= n):
         raise ValueError("need 0 <= r <= k <= n")
     if d < 1:
         raise ValueError("d must be positive")
-    y = [Fraction(0)] * (k + 1)
-    y[0] = Fraction(1)
-    x: list[Fraction] = []
-    for step in range(r):
-        head = y[step]
-        m_diag = mp_clone_coefficient(d, n, k - step, k - step)
-        x.append(head / m_diag)
-        for s in range(step + 1, k + 1):
-            y[s] -= head * mp_clone_coefficient(d, n, k - step, k - s) / m_diag
-        y[step] = Fraction(0)
+    acc = [0] * (k + 1)
+    w: list[int] = []
+    for row in range(r):
+        w_row = (row == 0) - acc[row]
+        w.append(w_row)
+        m, v = d - 1 + k - row, 1
+        for j in range(k - row):
+            v = v * (m - j) // (j + 1)
+            acc[row + 1 + j] += w_row * v
+    c_nk = binomial(n, k)
     return DeFinettiCoefficients(
         d=d, n=n, k=k, r=r,
         delta=definetti_delta(d, n, k),
-        x=tuple(x),
-        y=tuple(y[r:]),
+        x=tuple(Fraction(w_s * binomial(d + n + k - s - 1, k - s), c_nk) for s, w_s in enumerate(w)),
+        y=tuple(Fraction((s == 0) * c_nk - binomial(n, k - s) * acc[s], c_nk) for s in range(r, k + 1)),
     )
 
 

@@ -100,29 +100,39 @@ def mp_clone_coefficient(d: int, n: int, k: int, s: int) -> Fraction:
 
 
 def mp_clone_polynomial(d: int, n: int, k: int, x: Fraction | int) -> Fraction:
-    """Evaluate sum_s mp_clone_coefficient(d,n,k,s) * x**s exactly."""
+    """Evaluate sum_s mp_clone_coefficient(d,n,k,s) * x**s exactly.
+
+    With x = p/q the sum is sum_s a_s p^s q^(k-s) / (C(d+n+k-1,k) q^k) with the
+    integer weights a_s = C(n,s) C(d+k-1,k-s); the numerator is summed in
+    integers and reduced once.
+    """
+    if k < 0:  # the empty sum
+        return Fraction(0)
     xf = Fraction(x)
-    acc = Fraction(0)
-    power = Fraction(1)
+    p, q = xf.numerator, xf.denominator
+    acc, power = 0, 1
     for s in range(k + 1):
-        acc += mp_clone_coefficient(d, n, k, s) * power
-        power *= xf
-    return acc
+        acc = acc * q + binomial(n, s) * binomial(d + k - 1, k - s) * power
+        power *= p
+    return Fraction(acc, binomial(d + n + k - 1, k) * q**k)
 
 
 def jacobi_polynomial(alpha: int, beta: int, k: int, y: Fraction | int) -> Fraction:
     """Jacobi polynomial P_k^(alpha,beta)(y) by the three-term recurrence, exactly.
 
-    Raises ValueError at integer parameters where the recurrence denominator
-    vanishes (only possible for alpha + beta <= -2).
+    With y = P/q, step j carries p_j = N_j / (q^j D_j) with an integer N_j and
+    D_j the product of the recurrence denominators so far; the result is
+    reduced once.  Raises ValueError at integer parameters where the recurrence
+    denominator vanishes (only possible for alpha + beta <= -2).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     yf = Fraction(y)
-    p_prev = Fraction(1)
+    big_p, q = yf.numerator, yf.denominator
     if k == 0:
-        return p_prev
-    p_cur = Fraction(alpha + 1) + Fraction(alpha + beta + 2) * (yf - 1) / 2
+        return Fraction(1)
+    n_prev, n_cur = 1, 2 * (alpha + 1) * q + (alpha + beta + 2) * (big_p - q)
+    den, last = 2, 2  # D_1 and its last factor
     for j in range(2, k + 1):
         c = 2 * j + alpha + beta
         denom = 2 * j * (j + alpha + beta) * (c - 2)
@@ -130,10 +140,11 @@ def jacobi_polynomial(alpha: int, beta: int, k: int, y: Fraction | int) -> Fract
             raise ValueError(
                 f"three-term recurrence singular at step {j} for (alpha, beta)=({alpha}, {beta})"
             )
-        lin = Fraction((c - 1) * (alpha**2 - beta**2)) + Fraction((c - 2) * (c - 1) * c) * yf
-        p_next = (lin * p_cur - Fraction(2 * (j + alpha - 1) * (j + beta - 1) * c) * p_prev) / denom
-        p_prev, p_cur = p_cur, p_next
-    return p_cur
+        lin = (c - 1) * (alpha**2 - beta**2) * q + (c - 2) * (c - 1) * c * big_p
+        tail = 2 * (j + alpha - 1) * (j + beta - 1) * c * last * q * q
+        n_prev, n_cur = n_cur, lin * n_cur - tail * n_prev
+        den, last = den * denom, denom
+    return Fraction(n_cur, q**k * den)
 
 
 JACOBI_CHECK_POINTS = (Fraction(0), Fraction(1, 2), Fraction(2), Fraction(-1, 3), Fraction(7, 5))

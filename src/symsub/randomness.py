@@ -168,7 +168,7 @@ def mc_tensor_power_mean(
     mean = s1 / total
     var = np.maximum(s2 / total - np.abs(mean) ** 2, 0.0)
     stderr = float(np.sqrt(var.sum() / total))
-    dims = (d,) * n
+    dims = (d,) * n or (1,)  # n = 0: the 1 x 1 operator of the empty tensor power
     return MatrixEstimate(Operator(mean, dims, dims), stderr, total)
 
 

@@ -387,6 +387,8 @@ def conjugation_fixed_dimension(d: int, n: int) -> int:
 
 def _tensor_power_rows(vectors: np.ndarray, n: int) -> np.ndarray:
     """Row-wise n-fold Kronecker power: (m, d) -> (m, d**n)."""
+    if n == 0:
+        return np.ones((vectors.shape[0], 1), dtype=vectors.dtype)
     out = vectors
     for _ in range(n - 1):
         out = (out[:, :, None] * vectors[:, None, :]).reshape(out.shape[0], -1)

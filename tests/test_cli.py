@@ -253,3 +253,27 @@ def test_bound_tail_rank_above_total_exits_2(capsys):
     assert err == "symsub: error: need 1 <= rank <= prod(dims)\n"
     code, doc = _json_run(capsys, ["bound", "tail", "--dims", "2,2", "--r", "4", "--gamma", "1", "--nmax", "3"])
     assert code == 0 and doc["tables"]["per_n"]["rows"] == [[1, "4"], [2, "9"], [3, "16"]]
+
+
+def test_spans_at_n0_reports_rank_one(capsys):
+    code, doc = _json_run(capsys, ["verify", "spans", "--d", "2", "--n", "0"])
+    assert code == 0 and doc["verdict"] == "pass"
+    assert doc["checks"] == [
+        {"name": "span_rank", "expected": 1, "actual": 1, "tolerance": None, "pass": True}
+    ]
+
+
+def test_definetti_coeffs_large_case_pinned(capsys):
+    code, doc = _json_run(capsys, ["definetti", "coeffs", "--d", "3", "--n", "1000", "--k", "80"])
+    assert code == 0 and doc["verdict"] == "pass"
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["delta"]["actual"] == "166/25"
+    assert checks["exact_inversion_identity"]["actual"] is True
+    rows = doc["tables"]["coefficients"]["rows"]
+    assert len(rows) == 81 and rows[-1][:2] == [80, "y"]  # x_0..x_79, then y_80
+    assert rows[0] == [
+        0, "x",
+        "53349358317128502047214006022117091083432422685927793086501688173050548882340033276346327228756287354392"
+        "/75738151782950200600710534949465215796564792496141056412036005761198449186419955347737599022616386975",
+        "", "n/a",
+    ]

@@ -164,6 +164,13 @@ def test_tail_bound_rejects_nonpositive_gamma():
         tail_bound_term(PART22, 1, Fraction(0), 3)
 
 
+def test_tail_bound_rejects_nmax_below_one():
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            tail_bound(PART22, 1, 1, n_max=n_max)
+    assert tail_bound(PART22, 1, 1, n_max=1).per_n == ((1, Fraction(1)),)
+
+
 def test_tail_bound_at_schmidt_parameters():
     # dims=(d,d), r=1, gamma=(16/(e d)) e^eps, n=d gives a bound below e^(-d eps)
     from math import e, exp

@@ -182,3 +182,11 @@ def test_haar_state_batch_bit_identical_to_sum_expression(d, count):
     got = haar_state_batch(d, RngStream(31, d).generator(), count)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_mean_power_at_n0_is_the_scalar_one():
+    est = mc_tensor_power_mean(lambda g, m: haar_state_batch(3, g, m), 0, 100, RngStream(12))
+    assert est.mean.row_dims == est.mean.col_dims == (1,)
+    assert np.array_equal(est.mean.entries, np.ones((1, 1)))
+    assert est.frob_stderr == 0.0
+    assert frobenius_distance(est.mean, haar_moment_operator(3, 0)) == 0.0

@@ -273,3 +273,14 @@ def test_symmetrizer_dtype_holds_n_factorial():
     small, large = _symmetrizer_int(1, 12), _symmetrizer_int(1, 13)
     assert small.dtype == np.int32 and small[0, 0] == factorial(12)
     assert large.dtype == np.int64 and large[0, 0] == factorial(13)
+
+
+def test_tensor_power_span_rank_at_n0():
+    # the empty tensor power is the scalar 1: one operator, rank sym_dim(d, 0)**2 = 1
+    from symsub.tensorspace import _tensor_power_rows
+
+    v = np.arange(6, dtype=complex).reshape(3, 2)
+    assert np.array_equal(_tensor_power_rows(v, 0), np.ones((3, 1), dtype=complex))
+    assert np.array_equal(_tensor_power_rows(v, 1), v)
+    for d in (1, 2, 3):
+        assert tensor_power_span_rank(d, 0, 6, RngStream(3)) == 1
