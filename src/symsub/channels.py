@@ -25,7 +25,7 @@ import numpy as np
 
 from .exactcomb import binomial, enumerate_types, mp_clone_coefficient, multinomial, sym_dim
 from .guards import guard_dimension
-from .tensorspace import Operator, _sym_projector_matrix, _type_isometry_matrix
+from .tensorspace import Operator, _sym_projector_matrix, _type_isometry_matrix, copy_dims
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -100,17 +100,14 @@ def apply(s: Superoperator, rho: Operator) -> Operator:
 
 
 def choi_matrix(s: Superoperator) -> np.ndarray:
-    """Choi matrix sum_{pq} T(E_pq) (x) E_pq; PSD iff the map is completely positive."""
+    """Choi matrix sum_{pq} T(E_pq) (x) E_pq; PSD iff the map is completely positive.
+
+    Column p + q*din of the matrix is vec(T(E_pq)), whose entry a + b*dout is
+    T(E_pq)[a, b]; the Choi entry [(a, p), (b, q)] is that number, so the Choi
+    matrix is an axis shuffle of the superoperator matrix.
+    """
     din, dout = s.in_dim, s.out_dim
-    choi = np.zeros((dout * din, dout * din), dtype=complex)
-    for p in range(din):
-        for q in range(din):
-            col = s.matrix[:, p + q * din]  # vec(T(E_pq)) by column-stacking
-            block = unvec(col, (dout, dout))
-            unit = np.zeros((din, din))
-            unit[p, q] = 1.0
-            choi += np.kron(block, unit)
-    return choi
+    return s.matrix.reshape(dout, dout, din, din).transpose(1, 3, 0, 2).reshape(dout * din, dout * din)
 
 
 def min_choi_eigenvalue(s: Superoperator) -> float:
@@ -128,12 +125,7 @@ def projection_superoperator(d: int, n: int) -> Superoperator:
     """rho -> Pi_sym rho Pi_sym on the full n-copy space."""
     _guard_superoperator(d**n, d**n)
     pi = _sym_projector_matrix(d, n)
-    dims = (d,) * n if n > 0 else (1,)
-    return Superoperator(np.kron(pi.T, pi), dims, dims)
-
-
-def _dims(d: int, n: int) -> tuple[int, ...]:
-    return (d,) * n if n > 0 else (1,)
+    return Superoperator(np.kron(pi.T, pi), copy_dims(d, n), copy_dims(d, n))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +142,7 @@ def clone_channel(d: int, n: int, k: int) -> Superoperator:
     dk = d**k
     root = np.sqrt(float(c))
     kraus = [root * pi[:, a::dk] for a in range(dk)]  # Pi (I (x) |a>)
-    return kraus_superoperator(kraus, _dims(d, n), _dims(d, n + k))
+    return kraus_superoperator(kraus, copy_dims(d, n), copy_dims(d, n + k))
 
 
 def mp_channel(d: int, n: int, k: int) -> Superoperator:
@@ -168,7 +160,7 @@ def mp_channel(d: int, n: int, k: int) -> Superoperator:
     # out[u, v] = c * sum_{b, b'} Pi[(b,u), (b',v)] rho[b', b]; as a matrix on
     # column-stacked inputs this is an axis shuffle of Pi.
     mat = c * tensor.transpose(3, 1, 0, 2).reshape(dk * dk, dn * dn)
-    return Superoperator(mat, _dims(d, n), _dims(d, k))
+    return Superoperator(mat, copy_dims(d, n), copy_dims(d, k))
 
 
 def trace_channel(d: int, n: int, k: int) -> Superoperator:
@@ -179,7 +171,7 @@ def trace_channel(d: int, n: int, k: int) -> Superoperator:
     _guard_superoperator(d**k, d**n)
     dr, eye = d ** (n - k), np.eye(d**n)
     kraus = [eye[b::dr] for b in range(dr)]  # I (x) <b|
-    return kraus_superoperator(kraus, _dims(d, n), _dims(d, k))
+    return kraus_superoperator(kraus, copy_dims(d, n), copy_dims(d, k))
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +312,15 @@ def chiribella_coefficient_identity(d: int, n: int, k: int, s: int) -> bool:
     return lhs == mp_clone_coefficient(d, n, k, s)
 
 
-def _full_representation_feasible(d: int, n: int, k: int, entry_cap: int = 2**22) -> bool:
-    dims = [d ** (2 * (n + k)), d ** (4 * n), d ** (4 * k)]
-    return max(dims) <= entry_cap
+def resolve_representation(d: int, n: int, k: int, requested: str = "auto") -> str:
+    """The representation ``chiribella_sides`` runs for ``requested``: "auto"
+    picks "full" while every full-space superoperator holds at most 2^22
+    entries, and "sym" beyond."""
+    if requested == "auto":
+        return "full" if max(d ** (2 * (n + k)), d ** (4 * n), d ** (4 * k)) <= 2**22 else "sym"
+    if requested not in ("full", "sym"):
+        raise ValueError(f"unknown representation {requested!r}")
+    return requested
 
 
 def chiribella_sides(d: int, n: int, k: int, representation: str = "auto"):
@@ -331,10 +329,10 @@ def chiribella_sides(d: int, n: int, k: int, representation: str = "auto"):
     restricted to symmetric inputs.
 
     representation: "sym" (symmetric coordinates), "full" (embedded space with
-    symmetric-input projection pre-composed), or "auto".
+    symmetric-input projection pre-composed), or "auto" (see
+    ``resolve_representation``).
     """
-    if representation == "auto":
-        representation = "full" if _full_representation_feasible(d, n, k) else "sym"
+    representation = resolve_representation(d, n, k, representation)
     if representation == "sym":
         lhs = mp_channel_sym(d, n, k)
         rhs = np.zeros_like(lhs.matrix)
@@ -343,16 +341,14 @@ def chiribella_sides(d: int, n: int, k: int, representation: str = "auto"):
             piece = compose(trace_channel_sym(d, n, s), clone_channel_sym(d, s, k - s))
             rhs += weight * piece.matrix
         return lhs.matrix, rhs
-    if representation == "full":
-        proj = projection_superoperator(d, n)
-        lhs = compose(proj, mp_channel(d, n, k))
-        rhs = np.zeros_like(lhs.matrix)
-        for s in range(0, min(n, k) + 1):
-            weight = float(mp_clone_coefficient(d, n, k, s))
-            piece = compose(proj, compose(trace_channel(d, n, s), clone_channel(d, s, k - s)))
-            rhs += weight * piece.matrix
-        return lhs.matrix, rhs
-    raise ValueError(f"unknown representation {representation!r}")
+    proj = projection_superoperator(d, n)
+    lhs = compose(proj, mp_channel(d, n, k))
+    rhs = np.zeros_like(lhs.matrix)
+    for s in range(0, min(n, k) + 1):
+        weight = float(mp_clone_coefficient(d, n, k, s))
+        piece = compose(proj, compose(trace_channel(d, n, s), clone_channel(d, s, k - s)))
+        rhs += weight * piece.matrix
+    return lhs.matrix, rhs
 
 
 def verify_chiribella(d: int, n: int, k: int, representation: str = "auto") -> float:

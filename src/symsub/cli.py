@@ -5,15 +5,21 @@ Each subcommand runs one family of checks and prints a machine-readable report
 every check passes, 1 on any failed check, 2 on usage errors and on values the
 library rejects as out of range, 3 when a dimension guard refuses the
 requested size.
+
+Every command is declared once, in ``_COMMANDS``: its path, help text, handler
+and report params.  Its flags are the params found in ``_FLAGS`` (plus any
+extra ones), so a flag's range and default are also written once.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,9 +43,10 @@ def _fmt(value):
 
 
 class Report:
-    def __init__(self, command: str, params: dict):
+    def __init__(self, command: str, tol_scale: float = 1.0):
         self.command = command
-        self.params = {k: _fmt(v) for k, v in params.items()}
+        self.tol_scale = tol_scale
+        self.params: dict = {}
         self.checks: list[dict] = []
         self.tables: dict[str, list] = {}
         self.start = time.monotonic()
@@ -57,7 +64,12 @@ class Report:
         self.checks.append(entry)
         return bool(passed)
 
-    def table(self, name: str, header: list[str], rows: list[list]) -> None:
+    def within(self, name: str, actual, tolerance: float, expected=0.0) -> bool:
+        """Residual check: passes when |actual - expected| <= tolerance * tol_scale."""
+        tol = tolerance * self.tol_scale
+        return self.check(name, expected, actual, tolerance=tol, passed=abs(actual - expected) <= tol)
+
+    def table(self, name: str, header: list[str], rows) -> None:
         self.tables[name] = {"header": header, "rows": [[_fmt(v) for v in row] for row in rows]}
 
     @property
@@ -93,12 +105,8 @@ class Report:
         return 0 if self.verdict == "pass" else 1
 
 
-def _tol(args, default: float) -> float:
-    return default * args.tol_scale
-
-
-def _stream(args, offset: int = 0) -> randomness.RngStream:
-    return randomness.RngStream(seed=args.seed, stream_id=offset)
+def _stream(args) -> randomness.RngStream:
+    return randomness.RngStream(seed=args.seed)
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -106,100 +114,65 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each adds its checks and tables to the report main opened
 # ---------------------------------------------------------------------------
 
-def cmd_dims(args) -> Report:
-    rep = Report("dims", {"d": args.d, "n": args.n})
+def cmd_dims(args, rep: Report) -> None:
     value = exactcomb.sym_dim(args.d, args.n)
     rep.check("sym_dim", value, value)
     rep.check("rising_factorial_form", Fraction(value), exactcomb.rising_factorial_dim(args.d, args.n))
     rep.check("type_count", value, len(exactcomb.enumerate_types(args.d, args.n)))
-    return rep
 
 
-def cmd_coeffs(args) -> Report:
-    rep = Report("coeffs", {"d": args.d, "n": args.n, "k": args.k})
-    rows = []
-    total = Fraction(0)
-    for s in range(args.k + 1):
-        m = exactcomb.mp_clone_coefficient(args.d, args.n, args.k, s)
-        total += m
-        rows.append([s, m])
-    rep.table("mp_clone_coefficients", ["s", "coefficient"], rows)
-    rep.check("coefficients_sum_to_one", Fraction(1), total)
-    return rep
+def cmd_coeffs(args, rep: Report) -> None:
+    coeffs = [exactcomb.mp_clone_coefficient(args.d, args.n, args.k, s) for s in range(args.k + 1)]
+    rep.table("mp_clone_coefficients", ["s", "coefficient"], list(enumerate(coeffs)))
+    rep.check("coefficients_sum_to_one", Fraction(1), sum(coeffs, Fraction(0)))
 
 
-def cmd_verify_psym(args) -> Report:
-    rep = Report("verify psym", {"d": args.d, "n": args.n})
-    proj = tensorspace.sym_projector_group(args.d, args.n)
-    mat = proj.entries
-    trace_tol = _tol(args, 1e-8)
-    rep.check(
-        "trace", exactcomb.sym_dim(args.d, args.n), float(np.trace(mat).real),
-        tolerance=trace_tol,
-        passed=abs(np.trace(mat).real - exactcomb.sym_dim(args.d, args.n)) <= trace_tol,
-    )
-    idem = float(np.linalg.norm(mat @ mat - mat))
-    rep.check("idempotence_frobenius", 0.0, idem, tolerance=_tol(args, 1e-10), passed=idem <= _tol(args, 1e-10))
-    herm = float(np.abs(mat - mat.conj().T).max())
-    rep.check("hermiticity_max_entry", 0.0, herm, tolerance=_tol(args, 1e-12), passed=herm <= _tol(args, 1e-12))
-    iso = tensorspace.type_isometry(args.d, args.n)
-    diff = float(np.linalg.norm(iso.entries @ iso.entries.conj().T - mat))
-    rep.check("type_basis_agreement_frobenius", 0.0, diff, tolerance=_tol(args, 1e-12), passed=diff <= _tol(args, 1e-12))
+def cmd_verify_psym(args, rep: Report) -> None:
+    mat = tensorspace.sym_projector_group(args.d, args.n).entries
+    rep.within("trace", float(np.trace(mat).real), 1e-8, expected=exactcomb.sym_dim(args.d, args.n))
+    rep.within("idempotence_frobenius", float(np.linalg.norm(mat @ mat - mat)), 1e-10)
+    rep.within("hermiticity_max_entry", float(np.abs(mat - mat.conj().T).max()), 1e-12)
+    iso = tensorspace.type_isometry(args.d, args.n).entries
+    rep.within("type_basis_agreement_frobenius", float(np.linalg.norm(iso @ iso.conj().T - mat)), 1e-12)
     gen = _stream(args).generator()
     worst = 0.0
     for _ in range(10):
         images = tuple(gen.permutation(args.n))
         pmat = tensorspace.permutation_operator(args.d, tensorspace.Permutation(images)).entries
         worst = max(worst, float(np.abs(pmat @ mat - mat).max()))
-    rep.check("permutation_invariance_max_entry", 0.0, worst, tolerance=_tol(args, 1e-12), passed=worst <= _tol(args, 1e-12))
-    return rep
+    rep.within("permutation_invariance_max_entry", worst, 1e-12)
 
 
-def cmd_verify_spans(args) -> Report:
-    rep = Report("verify spans", {"d": args.d, "n": args.n, "seed": args.seed})
+def cmd_verify_spans(args, rep: Report) -> None:
     expected = exactcomb.sym_dim(args.d, args.n) ** 2
     samples = args.samples if args.samples_given else expected + 20
-    rank = tensorspace.tensor_power_span_rank(args.d, args.n, samples, _stream(args))
-    rep.check("span_rank", expected, rank)
-    return rep
+    rep.check("span_rank", expected, tensorspace.tensor_power_span_rank(args.d, args.n, samples, _stream(args)))
 
 
-def cmd_verify_commutant(args) -> Report:
-    rep = Report("verify commutant-dim", {"d": args.d, "n": args.n})
+def cmd_verify_commutant(args, rep: Report) -> None:
     got = tensorspace.conjugation_fixed_dimension(args.d, args.n)
     rep.check("commutant_dimension", exactcomb.sym_dim(args.d**2, args.n), got)
-    return rep
 
 
-def cmd_verify_chiribella(args) -> Report:
-    rep = Report("verify chiribella", {"d": args.d, "n": args.n, "k": args.k, "representation": args.representation})
+def cmd_verify_chiribella(args, rep: Report) -> None:
+    # the report names the representation that ran, not the one requested
+    args.representation = channels.resolve_representation(args.d, args.n, args.k, args.representation)
     exact_ok = all(
         channels.chiribella_coefficient_identity(args.d, args.n, args.k, s) for s in range(args.k + 1)
     )
     rep.check("exact_coefficient_identity", True, exact_ok)
     residual = channels.verify_chiribella(args.d, args.n, args.k, args.representation)
-    tol = _tol(args, 1e-10)
-    rep.check("channel_identity_frobenius", 0.0, residual, tolerance=tol, passed=residual <= tol)
-    return rep
+    rep.within("channel_identity_frobenius", residual, 1e-10)
 
 
-def cmd_verify_jacobi(args) -> Report:
-    rep = Report("verify jacobi", {"d": args.d, "n": args.n, "k": args.k})
-    rep.check(
-        "jacobi_form_identity", True,
-        exactcomb.mp_polynomial_jacobi_identity(args.d, args.n, args.k),
-    )
-    return rep
+def cmd_verify_jacobi(args, rep: Report) -> None:
+    rep.check("jacobi_form_identity", True, exactcomb.mp_polynomial_jacobi_identity(args.d, args.n, args.k))
 
 
-def cmd_verify_wick(args) -> Report:
-    rep = Report(
-        "verify wick",
-        {"field": args.field, "d": args.d, "n": args.n, "samples": args.samples, "seed": args.seed},
-    )
+def cmd_verify_wick(args, rep: Report) -> None:
     if args.field == "complex":
         exact = randomness.complex_gaussian_moment_operator(args.d, args.n)
     else:
@@ -212,118 +185,81 @@ def cmd_verify_wick(args) -> Report:
                 - tensorspace.permutation_operator(args.d, pi).entries
             ).max()
             worst = max(worst, float(diff))
-        rep.check("matching_vs_permutation_max_entry", 0.0, worst, tolerance=0.0, passed=worst == 0.0)
+        rep.within("matching_vs_permutation_max_entry", worst, 0.0)
     est = randomness.mc_tensor_power_mean(
         lambda gen, m: randomness.gaussian_batch(args.d, args.field, gen, m),
         args.n, args.samples, _stream(args),
     )
-    residual = tensorspace.frobenius_distance(est.mean, exact)
-    tol = 5 * est.frob_stderr * args.tol_scale
-    rep.check("gaussian_moment_frobenius", 0.0, residual, tolerance=tol, passed=residual <= tol)
-    return rep
+    rep.within("gaussian_moment_frobenius", tensorspace.frobenius_distance(est.mean, exact), 5 * est.frob_stderr)
 
 
-def cmd_definetti_eps(args) -> Report:
-    rep = Report("definetti eps", {"d": args.d, "n": args.n, "k": args.k})
+def cmd_definetti_eps(args, rep: Report) -> None:
     eps = definetti.definetti_epsilon(args.d, args.n, args.k)
     rep.check("epsilon", eps, eps)
     rep.check("epsilon_at_most_one", True, eps <= 1, passed=True)  # informational flag
     m_kk = exactcomb.mp_clone_coefficient(args.d, args.n, args.k, args.k)
     if eps <= 1:
         rep.check("one_minus_diagonal_below_epsilon", True, 1 - m_kk <= eps)
-    return rep
 
 
-def cmd_definetti_coeffs(args) -> Report:
-    r = args.r if args.r is not None else args.k
-    rep = Report("definetti coeffs", {"d": args.d, "n": args.n, "k": args.k, "r": r})
-    coeffs = definetti.exp_definetti_coefficients(args.d, args.n, args.k, r)
+def cmd_definetti_coeffs(args, rep: Report) -> None:
+    if args.r is None:
+        args.r = args.k
+    coeffs = definetti.exp_definetti_coefficients(args.d, args.n, args.k, args.r)
     bounds = definetti.check_coefficient_bounds(coeffs)
     rows = []
-    for s, xs in enumerate(coeffs.x):
-        if bounds.applicable:
-            _, absval, bound, ok = bounds.x_details[s]
-            rows.append([s, "x", xs, bound, ok])
-        else:
-            rows.append([s, "x", xs, "", "n/a"])
-    for offset, ys in enumerate(coeffs.y):
-        s = r + offset
-        if bounds.applicable:
-            _, absval, bound, ok = bounds.y_details[offset]
-            rows.append([s, "y", ys, bound, ok])
-        else:
-            rows.append([s, "y", ys, "", "n/a"])
+    for kind, values, first, details in (
+        ("x", coeffs.x, 0, bounds.x_details), ("y", coeffs.y, args.r, bounds.y_details)
+    ):
+        for i, value in enumerate(values):
+            bound, ok = details[i][2:] if bounds.applicable else ("", "n/a")
+            rows.append([first + i, kind, value, bound, ok])
     rep.table("coefficients", ["s", "kind", "value", "bound", "pass"], rows)
-    rep.check("exact_inversion_identity", True, definetti.exp_definetti_identity_check(args.d, args.n, args.k, r))
+    rep.check("exact_inversion_identity", True, definetti.exp_definetti_identity_check(args.d, args.n, args.k, args.r))
     rep.check("delta", coeffs.delta, coeffs.delta)
     rep.check("truncation_tail_abs_sum", bounds.truncation_tail, bounds.truncation_tail)
     if bounds.applicable:
         rep.check("coefficient_bounds", True, bounds.passed)
-    return rep
 
 
-def cmd_verify_expdefinetti(args) -> Report:
-    rep = Report("verify expdefinetti", {"d": args.d, "n": args.n, "k": args.k})
-    residual = definetti.verify_exp_definetti(args.d, args.n, args.k)
-    tol = _tol(args, 1e-10)
-    rep.check("inversion_identity_frobenius", 0.0, residual, tolerance=tol, passed=residual <= tol)
-    return rep
+def cmd_verify_expdefinetti(args, rep: Report) -> None:
+    rep.within("inversion_identity_frobenius", definetti.verify_exp_definetti(args.d, args.n, args.k), 1e-10)
 
 
-def cmd_bound_tail(args) -> Report:
+def cmd_bound_tail(args, rep: Report) -> None:
     part = concentration.MultiPartition(_parse_dims(args.dims))
-    rep = Report("bound tail", {"dims": args.dims, "r": args.r, "gamma": args.gamma, "nmax": args.nmax})
     result = concentration.tail_bound(part, args.r, args.gamma, args.nmax)
     rep.table("per_n", ["n", "bound"], [[n, float(v)] for n, v in result.per_n])
     rep.check("all_terms_positive", True, all(v > 0 for _, v in result.per_n))
     rep.check("minimizing_n", result.n_star, result.n_star)
     rep.check("min_bound", result.bound, result.bound)
-    return rep
 
 
-def cmd_bound_smoothgap(args) -> Report:
-    rep = Report("bound smoothgap", {"d": args.d, "x": args.x})
+def cmd_bound_smoothgap(args, rep: Report) -> None:
     result = concentration.smooth_gap_bound(args.d, args.x)
     rep.check("rank", result.rank, result.rank)
     rep.check("gamma", result.gamma, result.gamma)
-    rep.check(
-        "bound_below_d_to_minus_d", True, result.satisfied,
-        tolerance=_fmt(result.threshold),
-        passed=result.satisfied,
-    )
+    rep.check("bound_below_d_to_minus_d", True, result.satisfied, tolerance=result.threshold, passed=result.satisfied)
     rep.check("bound_value", result.bound, result.bound)
-    return rep
 
 
-def cmd_mc_moment(args) -> Report:
-    rep = Report(
-        "mc moment",
-        {"D": args.D, "r": args.r, "n": args.n, "samples": args.samples, "seed": args.seed},
-    )
+def cmd_mc_moment(args, rep: Report) -> None:
     est = randomness.mc_projector_moment(args.D, args.r, args.n, args.samples, _stream(args))
-    exact = randomness.projector_moment_exact(args.D, args.r, args.n)
-    z = abs(est.mean - float(exact)) / est.stderr if est.stderr > 0 else 0.0
-    rep.check("estimate", float(exact), est.mean, tolerance=5 * est.stderr * args.tol_scale,
-              passed=abs(est.mean - float(exact)) <= 5 * est.stderr * args.tol_scale)
-    rep.check("z_score", 0.0, z, tolerance=5.0 * args.tol_scale, passed=z <= 5.0 * args.tol_scale)
-    return rep
+    exact = float(randomness.projector_moment_exact(args.D, args.r, args.n))
+    z = abs(est.mean - exact) / est.stderr if est.stderr > 0 else 0.0
+    rep.within("estimate", est.mean, 5 * est.stderr, expected=exact)
+    rep.within("z_score", z, 5.0)
 
 
-def cmd_mc_schmidt(args) -> Report:
-    rep = Report("mc schmidt", {"d": args.d, "eps": args.eps, "samples": args.samples, "seed": args.seed})
+def cmd_mc_schmidt(args, rep: Report) -> None:
     result = concentration.experiment_schmidt_tail(args.d, args.samples, args.eps, _stream(args))
     rep.check("exceedance_fraction", 0.0, result.fraction, tolerance=result.bound, passed=result.passed)
     rep.check("mean_top_schmidt", result.mean_top_schmidt, result.mean_top_schmidt)
     rep.check("threshold", result.threshold, result.threshold)
-    return rep
 
 
-def cmd_mc_productfree(args) -> Report:
+def cmd_mc_productfree(args, rep: Report) -> None:
     part = concentration.MultiPartition(_parse_dims(args.dims))
-    rep = Report(
-        "mc productfree",
-        {"dims": args.dims, "r": args.r, "restarts": args.restarts, "trials": args.trials, "seed": args.seed},
-    )
     result = concentration.experiment_product_free(part, args.r, args.restarts, _stream(args), trials=args.trials)
     rep.check("dimension_threshold_met", result.threshold_met, result.threshold_met)
     if result.threshold_met:
@@ -335,14 +271,9 @@ def cmd_mc_productfree(args) -> Report:
         rep.check("exceedance_fraction", 0.0, Fraction(result.exceedances, result.trials),
                   tolerance=bound, passed=result.passed)
         rep.check("max_product_overlap", result.max_overlap, result.max_overlap)
-    return rep
 
 
-def cmd_mc_meanpower(args) -> Report:
-    rep = Report(
-        "mc meanpower",
-        {"dist": args.dist, "d": args.d, "n": args.n, "samples": args.samples, "seed": args.seed},
-    )
+def cmd_mc_meanpower(args, rep: Report) -> None:
     if args.dist == "haar":
         sampler = lambda gen, m: randomness.haar_state_batch(args.d, gen, m)
         exact = randomness.haar_moment_operator(args.d, args.n)
@@ -350,20 +281,13 @@ def cmd_mc_meanpower(args) -> Report:
         sampler = lambda gen, m: randomness.real_unit_batch(args.d, gen, m)
         exact = randomness.real_unit_moment_operator(args.d, args.n)
     est = randomness.mc_tensor_power_mean(sampler, args.n, args.samples, _stream(args))
-    residual = tensorspace.frobenius_distance(est.mean, exact)
-    tol = 5 * est.frob_stderr * args.tol_scale
-    rep.check("mean_power_frobenius", 0.0, residual, tolerance=tol, passed=residual <= tol)
+    rep.within("mean_power_frobenius", tensorspace.frobenius_distance(est.mean, exact), 5 * est.frob_stderr)
     if args.dump_operator:
-        rep.table(
-            "mean_operator",
-            ["json"],
-            [[json.dumps(tensorspace.operator_to_json(est.mean))]],
-        )
-    return rep
+        rep.table("mean_operator", ["json"], [[json.dumps(tensorspace.operator_to_json(est.mean))]])
 
 
 # ---------------------------------------------------------------------------
-# parser
+# flag and command tables
 # ---------------------------------------------------------------------------
 
 def _int_at_least(low: int, what: str):
@@ -394,13 +318,92 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
-# the range of every integer flag that commands share, declared once
-_INT_FLAGS = {
-    "d": _positive_int, "n": _nonnegative_int, "k": _nonnegative_int,
-    "D": _positive_int, "r": _positive_int, "x": _positive_int,
-    "nmax": _positive_int, "restarts": _positive_int, "trials": _positive_int,
+def _positive_finite_float(text: str) -> float:
+    """argparse type: a positive finite float such as 1e-3 (not 0, inf or nan)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number like 2 or 1e-3, got {text!r}") from None
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+# the argparse settings of every command flag, declared once
+_FLAGS = {
+    "d": dict(type=_positive_int, required=True),
+    "n": dict(type=_nonnegative_int, required=True),
+    "k": dict(type=_nonnegative_int, required=True),
+    "D": dict(type=_positive_int, required=True),
+    "r": dict(type=_positive_int, required=True),
+    "x": dict(type=_positive_int, required=True),
+    "nmax": dict(type=_positive_int, default=64),
+    "restarts": dict(type=_positive_int, default=32),
+    "trials": dict(type=_positive_int, default=20),
+    "dims": dict(type=str, required=True, help="comma-separated subsystem dimensions"),
+    "gamma": dict(type=_positive_fraction, required=True, help="overlap threshold (rational like 9/10 or decimal)"),
+    "eps": dict(type=float, required=True),
+    "field": dict(choices=("real", "complex"), required=True),
+    "dist": dict(choices=("haar", "real-unit"), required=True),
+    "representation": dict(choices=("auto", "full", "sym"), default="auto"),
+    "dump-operator": dict(action="store_true", help="embed the mean operator as JSON"),
 }
 
+
+class _Command(NamedTuple):
+    path: str
+    summary: str
+    handler: Callable
+    params: str  # report params in report order; those in _FLAGS are the command's flags
+    extra_flags: str = ""  # flags that are not report params
+    overrides: dict | None = None  # flag -> argparse settings replacing its _FLAGS entry
+
+
+_GROUPS = {
+    "verify": "identity checks",
+    "definetti": "de Finetti error coefficients",
+    "bound": "tail bounds",
+    "mc": "Monte Carlo experiments",
+}
+
+_COMMANDS = (
+    _Command("dims", "symmetric subspace dimension and type-count identities", cmd_dims, "d n"),
+    _Command("coeffs", "hypergeometric clone/measure-and-prepare coefficient table", cmd_coeffs, "d n k"),
+    _Command("verify psym", "group-average projector: trace, idempotence, type-basis agreement",
+             cmd_verify_psym, "d n"),
+    _Command("verify spans", "tensor powers span the operator space of the symmetric subspace",
+             cmd_verify_spans, "d n seed"),
+    _Command("verify commutant-dim", "commutant dimension of the permutation action equals sym_dim(d^2, n)",
+             cmd_verify_commutant, "d n"),
+    _Command("verify chiribella", "Chiribella's identity: measure-and-prepare as a clone/trace mixture",
+             cmd_verify_chiribella, "d n k representation"),
+    _Command("verify jacobi", "Jacobi-polynomial form of the coefficient polynomial, exactly",
+             cmd_verify_jacobi, "d n k"),
+    _Command("verify wick", "Gaussian tensor-power moments against Wick/matching formulas",
+             cmd_verify_wick, "field d n samples seed"),
+    _Command("verify expdefinetti", "exact inversion: trace-down equals the signed clone/measure mixture",
+             cmd_verify_expdefinetti, "d n k"),
+    _Command("definetti eps", "two-term de Finetti error coefficient k(d+k)/(n+d)", cmd_definetti_eps, "d n k"),
+    _Command("definetti coeffs", "exponential-decomposition coefficient recursion with exact bounds",
+             cmd_definetti_coeffs, "d n k r",
+             overrides={"r": dict(type=_nonnegative_int, default=None, help="inversion steps (default k)")}),
+    _Command("bound tail", "moment tail bound per n for a random rank-r projector", cmd_bound_tail,
+             "dims r gamma nmax"),
+    _Command("bound smoothgap", "near-critical-rank single-n tail evaluation", cmd_bound_smoothgap, "d x"),
+    _Command("mc moment", "projector overlap moment against the exact ratio", cmd_mc_moment,
+             "D r n samples seed"),
+    _Command("mc schmidt", "largest-Schmidt-coefficient tail of random bipartite states", cmd_mc_schmidt,
+             "d eps samples seed"),
+    _Command("mc productfree", "random subspaces below the product-state dimension threshold",
+             cmd_mc_productfree, "dims r restarts trials seed"),
+    _Command("mc meanpower", "tensor-power mean of unit vectors against the exact operator",
+             cmd_mc_meanpower, "dist d n samples seed", extra_flags="dump-operator"),
+)
+
+
+# ---------------------------------------------------------------------------
+# parser and entry point
+# ---------------------------------------------------------------------------
 
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     """Global flags accepted before or after the subcommand; the subparser
@@ -408,22 +411,11 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     default = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument("--seed", type=int, default=default(0), help="random seed for all sampling")
     parser.add_argument("--samples", type=_positive_int, default=default(100_000), help="Monte Carlo sample count")
-    parser.add_argument("--tol-scale", type=float, default=default(1.0), help="multiply default tolerances")
-    parser.add_argument("--max-dim", type=int, default=default(None), help="override the dense-operator size cap")
+    parser.add_argument("--tol-scale", type=_positive_finite_float, default=default(1.0),
+                        help="multiply default tolerances")
+    parser.add_argument("--max-dim", type=_positive_int, default=default(None),
+                        help="override the dense-operator size cap")
     parser.add_argument("--format", choices=("json", "csv"), default=default("json"), help="report format")
-
-
-def _command(group, name: str, summary: str, handler, required: str = "", **defaults) -> argparse.ArgumentParser:
-    """Register one subcommand with its required one-letter integer flags
-    (from "dnkDrx"), its integer flags with a default, and the global options."""
-    p = group.add_parser(name, help=summary)
-    for flag in required:
-        p.add_argument(f"--{flag}", type=_INT_FLAGS[flag], required=True)
-    for flag, default in defaults.items():
-        p.add_argument(f"--{flag}", type=_INT_FLAGS[flag], default=default)
-    _add_global_options(p, suppress=True)
-    p.set_defaults(handler=handler)
-    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,67 +426,33 @@ def build_parser() -> argparse.ArgumentParser:
         "moment formulas, and moment-method tail bounds.",
     )
     _add_global_options(parser, suppress=False)
-
-    sub = parser.add_subparsers(dest="group", required=True)
-    _command(sub, "dims", "symmetric subspace dimension and type-count identities", cmd_dims, "dn")
-    _command(sub, "coeffs", "hypergeometric clone/measure-and-prepare coefficient table", cmd_coeffs, "dnk")
-
-    verify = sub.add_parser("verify", help="identity checks").add_subparsers(dest="sub", required=True)
-    _command(verify, "psym", "group-average projector: trace, idempotence, type-basis agreement",
-             cmd_verify_psym, "dn")
-    _command(verify, "spans", "tensor powers span the operator space of the symmetric subspace",
-             cmd_verify_spans, "dn")
-    _command(verify, "commutant-dim", "commutant dimension of the permutation action equals sym_dim(d^2, n)",
-             cmd_verify_commutant, "dn")
-    p = _command(verify, "chiribella", "Chiribella's identity: measure-and-prepare as a clone/trace mixture",
-                 cmd_verify_chiribella, "dnk")
-    p.add_argument("--representation", choices=("auto", "full", "sym"), default="auto")
-    _command(verify, "jacobi", "Jacobi-polynomial form of the coefficient polynomial, exactly",
-             cmd_verify_jacobi, "dnk")
-    p = _command(verify, "wick", "Gaussian tensor-power moments against Wick/matching formulas",
-                 cmd_verify_wick, "dn")
-    p.add_argument("--field", choices=("real", "complex"), required=True)
-    _command(verify, "expdefinetti", "exact inversion: trace-down equals the signed clone/measure mixture",
-             cmd_verify_expdefinetti, "dnk")
-
-    df = sub.add_parser("definetti", help="de Finetti error coefficients").add_subparsers(dest="sub", required=True)
-    _command(df, "eps", "two-term de Finetti error coefficient k(d+k)/(n+d)", cmd_definetti_eps, "dnk")
-    p = _command(df, "coeffs", "exponential-decomposition coefficient recursion with exact bounds",
-                 cmd_definetti_coeffs, "dnk")
-    p.add_argument("--r", type=_nonnegative_int, default=None, help="inversion steps (default k)")
-
-    bound = sub.add_parser("bound", help="tail bounds").add_subparsers(dest="sub", required=True)
-    p = _command(bound, "tail", "moment tail bound per n for a random rank-r projector", cmd_bound_tail,
-                 "r", nmax=64)
-    p.add_argument("--dims", type=str, required=True, help="comma-separated subsystem dimensions")
-    p.add_argument("--gamma", type=_positive_fraction, required=True,
-                   help="overlap threshold (rational like 9/10 or decimal)")
-    _command(bound, "smoothgap", "near-critical-rank single-n tail evaluation", cmd_bound_smoothgap, "dx")
-
-    mc = sub.add_parser("mc", help="Monte Carlo experiments").add_subparsers(dest="sub", required=True)
-    _command(mc, "moment", "projector overlap moment against the exact ratio", cmd_mc_moment, "Drn")
-    p = _command(mc, "schmidt", "largest-Schmidt-coefficient tail of random bipartite states", cmd_mc_schmidt, "d")
-    p.add_argument("--eps", type=float, required=True)
-    p = _command(mc, "productfree", "random subspaces below the product-state dimension threshold",
-                 cmd_mc_productfree, "r", restarts=32, trials=20)
-    p.add_argument("--dims", type=str, required=True)
-    p = _command(mc, "meanpower", "tensor-power mean of unit vectors against the exact operator",
-                 cmd_mc_meanpower, "dn")
-    p.add_argument("--dist", choices=("haar", "real-unit"), required=True)
-    p.add_argument("--dump-operator", action="store_true", help="embed the mean operator as JSON")
-
+    top = parser.add_subparsers(dest="group", required=True)
+    groups = {}
+    for spec in _COMMANDS:
+        *group, name = spec.path.split()
+        if group and group[0] not in groups:  # verify, definetti, bound, mc: made on first use
+            groups[group[0]] = top.add_parser(group[0], help=_GROUPS[group[0]]).add_subparsers(
+                dest="sub", required=True
+            )
+        p = (groups[group[0]] if group else top).add_parser(name, help=spec.summary)
+        overrides = spec.overrides or {}
+        for flag in [f for f in spec.params.split() if f in _FLAGS] + spec.extra_flags.split():
+            p.add_argument(f"--{flag}", **overrides.get(flag, _FLAGS[flag]))
+        _add_global_options(p, suppress=True)
+        p.set_defaults(spec=spec)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.samples_given = any(tok == "--samples" or tok.startswith("--samples=") for tok in argv)
+    spec = args.spec
+    report = Report(spec.path, args.tol_scale)
     if args.max_dim is not None:
         set_max_dim(args.max_dim)
     try:
-        report = args.handler(args)
+        spec.handler(args, report)
     except DimensionGuardError as exc:
         print(f"dimension guard: {exc}", file=sys.stderr)
         return 3
@@ -504,6 +462,8 @@ def main(argv=None) -> int:
     finally:
         if args.max_dim is not None:
             set_max_dim(None)
+    # read after the handler, which may resolve a param (the representation, the default r)
+    report.params = {name: _fmt(getattr(args, name)) for name in spec.params.split()}
     return report.emit(args.format)
 
 

@@ -20,7 +20,14 @@ import numpy as np
 
 from .exactcomb import real_moment_ratio, sym_dim
 from .guards import guard_dimension
-from .tensorspace import Operator, _tensor_power_rows, enumerate_matchings, matching_operator, sym_projector_group
+from .tensorspace import (
+    Operator,
+    _tensor_power_rows,
+    copy_dims,
+    enumerate_matchings,
+    matching_operator,
+    sym_projector_group,
+)
 
 BLOCK_SIZE = 1024
 
@@ -168,8 +175,7 @@ def mc_tensor_power_mean(
     mean = s1 / total
     var = np.maximum(s2 / total - np.abs(mean) ** 2, 0.0)
     stderr = float(np.sqrt(var.sum() / total))
-    dims = (d,) * n or (1,)  # n = 0: the 1 x 1 operator of the empty tensor power
-    return MatrixEstimate(Operator(mean, dims, dims), stderr, total)
+    return MatrixEstimate(Operator(mean, copy_dims(d, n), copy_dims(d, n)), stderr, total)
 
 
 def mc_projector_moment(dim: int, rank: int, n: int, total: int, stream: RngStream) -> ScalarEstimate:
@@ -233,13 +239,13 @@ def _matching_sum(d: int, n: int) -> np.ndarray:
 
 def real_gaussian_moment_operator(d: int, n: int) -> Operator:
     """E v^(x n) = d^-n sum over perfect matchings of sigma_M (Wick's theorem)."""
-    return Operator(_matching_sum(d, n) / d**n, (d,) * n, (d,) * n)
+    return Operator(_matching_sum(d, n) / d**n, copy_dims(d, n), copy_dims(d, n))
 
 
 def real_unit_moment_operator(d: int, n: int) -> Operator:
     """E gamma^(x n) for real unit vectors: the matching sum times the exact
     rational 1/(d(d+2)...(d+2n-2))."""
-    return Operator(_matching_sum(d, n) * float(real_moment_ratio(d, n)), (d,) * n, (d,) * n)
+    return Operator(_matching_sum(d, n) * float(real_moment_ratio(d, n)), copy_dims(d, n), copy_dims(d, n))
 
 
 def projector_moment_exact(dim: int, rank: int, n: int) -> Fraction:

@@ -135,6 +135,11 @@ def all_permutations(n: int) -> list[Permutation]:
     return [Permutation(images) for images in iter_permutations(range(n))]
 
 
+def copy_dims(d: int, n: int) -> tuple[int, ...]:
+    """Subsystem dims of (C^d)^(x n); n = 0 is the one-dimensional empty tensor power."""
+    return (d,) * n or (1,)
+
+
 def _index_grid(d: int, n: int) -> np.ndarray:
     """Composite basis indices of (C^d)^(x n) on n axes of length d: the
     C-order layout fixes the first factor as most significant."""
@@ -161,7 +166,7 @@ def permutation_operator(d: int, pi: Permutation) -> Operator:
     guard_dimension(dim)
     mat = np.zeros((dim, dim))
     mat[permutation_index_map(d, pi), np.arange(dim)] = 1.0
-    return Operator(mat, (d,) * n, (d,) * n)
+    return Operator(mat, copy_dims(d, n), copy_dims(d, n))
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +219,7 @@ def _sym_projector_matrix(d: int, n: int) -> np.ndarray:
 def sym_projector_group(d: int, n: int) -> Operator:
     """Group-average projector (1/n!) sum_pi P(pi) onto the symmetric subspace."""
     guard_dimension(d**n)  # re-checked here: the cached builder may be warm
-    if n == 0:
-        return Operator(_sym_projector_matrix(d, 0), (1,), (1,))
-    return Operator(_sym_projector_matrix(d, n), (d,) * n, (d,) * n)
+    return Operator(_sym_projector_matrix(d, n), copy_dims(d, n), copy_dims(d, n))
 
 
 def sym_projector_enumerated(d: int, n: int) -> Operator:
@@ -228,7 +231,7 @@ def sym_projector_enumerated(d: int, n: int) -> Operator:
     cols = np.arange(dim)
     for pi in all_permutations(n):
         acc[permutation_index_map(d, pi), cols] += 1.0
-    return Operator(acc / factorial(n), (d,) * n, (d,) * n)
+    return Operator(acc / factorial(n), copy_dims(d, n), copy_dims(d, n))
 
 
 @lru_cache(maxsize=None)
@@ -261,10 +264,7 @@ def type_isometry(d: int, n: int) -> Operator:
     is 1/sqrt(multinomial) per string so each column has unit norm.
     """
     guard_dimension(d**n)  # re-checked here: the cached builder may be warm
-    mat = _type_isometry_matrix(d, n)
-    if n == 0:
-        return Operator(mat, (1,), (1,))
-    return Operator(mat, (d,) * n, (sym_dim(d, n),))
+    return Operator(_type_isometry_matrix(d, n), copy_dims(d, n), (sym_dim(d, n),))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +328,7 @@ def matching_operator(d: int, n: int, matching: Matching) -> Operator:
     cols = grid[tuple(slot_digits[:, n:].T)]
     mat = np.zeros((dim, dim))
     mat[rows, cols] = 1.0
-    return Operator(mat, (d,) * n, (d,) * n)
+    return Operator(mat, copy_dims(d, n), copy_dims(d, n))
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,14 @@ def test_sym_request_over_superoperator_guard_exits_3(capsys):
         ["mc", "moment", "--D", "4", "--r", "1", "--n", "2", "--samples", "0"],
         ["--samples", "-5", "mc", "moment", "--D", "4", "--r", "1", "--n", "2"],
         ["verify", "chiribella", "--d", "2", "--n", "2", "--k", "-1"],
+        ["--max-dim", "0", "dims", "--d", "2", "--n", "1"],
+        ["--max-dim", "-5", "dims", "--d", "2", "--n", "1"],
+        ["dims", "--d", "2", "--n", "1", "--max-dim", "0"],
+        ["--tol-scale", "-1", "verify", "psym", "--d", "2", "--n", "2"],
+        ["--tol-scale", "nan", "verify", "psym", "--d", "2", "--n", "2"],
+        ["--tol-scale", "inf", "verify", "psym", "--d", "2", "--n", "2"],
+        ["--tol-scale", "0", "verify", "psym", "--d", "2", "--n", "2"],
+        ["verify", "psym", "--d", "2", "--n", "2", "--tol-scale", "abc"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
