@@ -19,12 +19,16 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-
-from . import channels, concentration, definetti, exactcomb, randomness, tensorspace
+from . import concentration, definetti, exactcomb
 from .guards import DimensionGuardError, set_max_dim
+
+if TYPE_CHECKING:
+    from .randomness import RngStream
+
+# numpy and the dense modules (tensorspace, channels, randomness) load inside
+# the handlers that use them, so the exact commands never import numpy
 
 SCHEMA_VERSION = 1
 
@@ -105,8 +109,10 @@ class Report:
         return 0 if self.verdict == "pass" else 1
 
 
-def _stream(args) -> randomness.RngStream:
-    return randomness.RngStream(seed=args.seed)
+def _stream(args) -> RngStream:
+    from .randomness import RngStream
+
+    return RngStream(seed=args.seed)
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -131,6 +137,10 @@ def cmd_coeffs(args, rep: Report) -> None:
 
 
 def cmd_verify_psym(args, rep: Report) -> None:
+    import numpy as np
+
+    from . import tensorspace
+
     mat = tensorspace.sym_projector_group(args.d, args.n).entries
     rep.within("trace", float(np.trace(mat).real), 1e-8, expected=exactcomb.sym_dim(args.d, args.n))
     rep.within("idempotence_frobenius", float(np.linalg.norm(mat @ mat - mat)), 1e-10)
@@ -147,17 +157,21 @@ def cmd_verify_psym(args, rep: Report) -> None:
 
 
 def cmd_verify_spans(args, rep: Report) -> None:
+    from . import tensorspace
+
     expected = exactcomb.sym_dim(args.d, args.n) ** 2
     samples = args.samples if args.samples_given else expected + 20
     rep.check("span_rank", expected, tensorspace.tensor_power_span_rank(args.d, args.n, samples, _stream(args)))
 
 
 def cmd_verify_commutant(args, rep: Report) -> None:
-    got = tensorspace.conjugation_fixed_dimension(args.d, args.n)
+    got = exactcomb.conjugation_fixed_dimension(args.d, args.n)
     rep.check("commutant_dimension", exactcomb.sym_dim(args.d**2, args.n), got)
 
 
 def cmd_verify_chiribella(args, rep: Report) -> None:
+    from . import channels
+
     # the report names the representation that ran, not the one requested
     args.representation = channels.resolve_representation(args.d, args.n, args.k, args.representation)
     exact_ok = all(
@@ -173,6 +187,10 @@ def cmd_verify_jacobi(args, rep: Report) -> None:
 
 
 def cmd_verify_wick(args, rep: Report) -> None:
+    import numpy as np
+
+    from . import randomness, tensorspace
+
     if args.field == "complex":
         exact = randomness.complex_gaussian_moment_operator(args.d, args.n)
     else:
@@ -244,6 +262,8 @@ def cmd_bound_smoothgap(args, rep: Report) -> None:
 
 
 def cmd_mc_moment(args, rep: Report) -> None:
+    from . import randomness
+
     est = randomness.mc_projector_moment(args.D, args.r, args.n, args.samples, _stream(args))
     exact = float(randomness.projector_moment_exact(args.D, args.r, args.n))
     z = abs(est.mean - exact) / est.stderr if est.stderr > 0 else 0.0
@@ -274,6 +294,8 @@ def cmd_mc_productfree(args, rep: Report) -> None:
 
 
 def cmd_mc_meanpower(args, rep: Report) -> None:
+    from . import randomness, tensorspace
+
     if args.dist == "haar":
         sampler = lambda gen, m: randomness.haar_state_batch(args.d, gen, m)
         exact = randomness.haar_moment_operator(args.d, args.n)
@@ -342,7 +364,7 @@ _FLAGS = {
     "trials": dict(type=_positive_int, default=20),
     "dims": dict(type=str, required=True, help="comma-separated subsystem dimensions"),
     "gamma": dict(type=_positive_fraction, required=True, help="overlap threshold (rational like 9/10 or decimal)"),
-    "eps": dict(type=float, required=True),
+    "eps": dict(type=_positive_finite_float, required=True),
     "field": dict(choices=("real", "complex"), required=True),
     "dist": dict(choices=("haar", "real-unit"), required=True),
     "representation": dict(choices=("auto", "full", "sym"), default="auto"),

@@ -9,13 +9,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import exp, log, prod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exactcomb import sym_dim
 from .guards import guard_dimension
-from .randomness import RngStream, _blocks, haar_state_batch, random_projector
-from .tensorspace import Operator, sym_projector_group
+
+if TYPE_CHECKING:
+    from .randomness import RngStream
+    from .tensorspace import Operator
+
+# numpy, randomness and tensorspace load inside the dense and sampling
+# functions, so MultiPartition and the exact tail bounds import without them
 
 
 @dataclass(frozen=True)
@@ -41,6 +45,8 @@ class MultiPartition:
 def _partition_operator(op: Operator, part: MultiPartition) -> Operator:
     """op with the partition's subsystem dims; a flat square operator of side
     part.total is relabelled, any other mismatch raises."""
+    from .tensorspace import Operator
+
     dims = part.dims
     if op.row_dims == op.col_dims and op.row_dim == part.total and len(op.row_dims) != part.parties:
         op = Operator(op.entries, dims, dims)
@@ -58,6 +64,10 @@ def mu_exact(op: Operator, part: MultiPartition, n: int) -> float:
     P^(x n) is contracted one copy at a time, so a single dense matrix of side
     total**n is the peak memory.
     """
+    import numpy as np
+
+    from .tensorspace import sym_projector_group
+
     op = _partition_operator(op, part)
     dims = part.dims
     total = part.total
@@ -85,6 +95,8 @@ def mu_exact(op: Operator, part: MultiPartition, n: int) -> float:
 def _bipartite_rank_one_nu(op: Operator, part: MultiPartition, tol: float) -> float | None:
     """Exact nu for k=2 and P = lambda |psi><psi|: lambda times the squared top
     Schmidt coefficient of psi."""
+    import numpy as np
+
     if part.parties != 2:
         return None
     evals, evecs = np.linalg.eigh(op.entries)
@@ -112,6 +124,10 @@ def nu_max(
     two parties and a rank-one PSD operator the exact value is returned via
     the Schmidt decomposition.
     """
+    import numpy as np
+
+    from .randomness import RngStream
+
     op = _partition_operator(op, part)
     dims = part.dims
     if np.abs(op.entries - op.entries.conj().T).max() > 1e-10:
@@ -296,6 +312,10 @@ def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStr
     """Sample Haar states on C^d (x) C^d and compare the empirical tail of the
     largest squared Schmidt coefficient against the bound
     Pr[lambda_max >= (16/(e d)) e^eps] <= e^(-d eps)."""
+    import numpy as np
+
+    from .randomness import _blocks, haar_state_batch
+
     guard_dimension(d * d)
     threshold = 16.0 / (np.e * d) * exp(epsilon)
     exceed = 0
@@ -361,6 +381,9 @@ def experiment_product_free(
     overlap reaches PRODUCT_FREE_GAMMA is expected to stay within the moment
     tail bound.  When it does not hold, the report says so and makes no
     claim."""
+    from .randomness import random_projector
+    from .tensorspace import Operator
+
     met = product_state_threshold(part, rank)
     overlaps: list[float] = []
     if met:

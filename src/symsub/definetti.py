@@ -27,17 +27,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .channels import (
-    Superoperator,
-    clone_channel_sym,
-    compose,
-    mp_channel_sym,
-    trace_channel_sym,
-)
 from .exactcomb import binomial, mp_clone_coefficient
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .channels import Superoperator
+
+# numpy and the channels load inside the three dense functions at the end, so
+# the exact part of this module imports without them
 
 
 def definetti_epsilon(d: int, n: int, k: int) -> Fraction:
@@ -112,27 +113,27 @@ def exp_definetti_full_coefficients(d: int, n: int, k: int) -> tuple[Fraction, .
     return c.x + (c.y[0],)
 
 
-def _a_expansion_in_basis(d: int, n: int, k: int, s: int) -> list[Fraction]:
-    """B_s expressed in the A basis: B_s = sum_{t>=s} M_{k-s,k-t} A_t."""
-    row = [Fraction(0)] * (k + 1)
-    for t in range(s, k + 1):
-        row[t] = mp_clone_coefficient(d, n, k - s, k - t)
-    return row
-
-
 def exp_definetti_identity_check(d: int, n: int, k: int, r: int) -> bool:
-    """Exact rational verification that the r-step coefficients reproduce A_0
-    when every B_s is expanded back into the A basis."""
+    """Exact verification that the r-step coefficients reproduce A_0 when every
+    B_s is expanded back into the A basis, B_s = sum_{t>=s} M_{k-s,k-t} A_t.
+
+    M_{k-s,k-t} = C(n, k-t) C(d+k-s-1, t-s) / C(d+n+k-s-1, k-s) by its defining
+    binomials.  Each x_s / C(d+n+k-s-1, k-s) and each y_t is reduced and put
+    over one common denominator L, so L times the coefficient of every A_t is
+    an integer sum, compared with L e_0.
+    """
     c = exp_definetti_coefficients(d, n, k, r)
-    acc = [Fraction(0)] * (k + 1)
-    for s, xs in enumerate(c.x):
-        row = _a_expansion_in_basis(d, n, k, s)
-        for t in range(k + 1):
-            acc[t] += xs * row[t]
-    for s in range(r, k + 1):
-        acc[s] += c.y[s - r]
-    target = [Fraction(1)] + [Fraction(0)] * k
-    return acc == target
+    heads = [xs / binomial(d + n + k - s - 1, k - s) for s, xs in enumerate(c.x)]
+    common = lcm(*(f.denominator for f in heads + list(c.y)))
+    acc = [0] * (k + 1)
+    for s, head in enumerate(heads):
+        scaled = head.numerator * (common // head.denominator)
+        for t in range(s, k + 1):
+            acc[t] += scaled * binomial(d + k - s - 1, t - s)
+    acc = [a * binomial(n, k - t) for t, a in enumerate(acc)]
+    for t, yt in enumerate(c.y, start=r):
+        acc[t] += yt.numerator * (common // yt.denominator)
+    return acc == [common] + [0] * k
 
 
 @dataclass(frozen=True)
@@ -187,6 +188,10 @@ def check_coefficient_bounds(c: DeFinettiCoefficients) -> CoefficientBoundsRepor
 def exp_definetti_sides(d: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """tr_{n-k} and sum_s x_s clone_{k-s->k} o MP_{n->k-s} on symmetric
     coordinates, as superoperator matrices."""
+    import numpy as np
+
+    from .channels import clone_channel_sym, compose, mp_channel_sym, trace_channel_sym
+
     lhs = trace_channel_sym(d, n, k).matrix
     coeffs = exp_definetti_full_coefficients(d, n, k)
     rhs = np.zeros_like(lhs)
@@ -202,6 +207,8 @@ def verify_exp_definetti(d: int, n: int, k: int) -> float:
     The identity is pure linear algebra in the channel coefficients, so it
     holds for every k <= n, including delta >= 1.
     """
+    import numpy as np
+
     lhs, rhs = exp_definetti_sides(d, n, k)
     return float(np.linalg.norm(lhs - rhs))
 
@@ -211,6 +218,10 @@ def mp_remainder_channel_sym(d: int, n: int, k: int) -> tuple[Fraction, Superope
     returns (eps, N) on symmetric coordinates.  N is completely positive and
     trace preserving there, which is the content of the two-term de Finetti
     decomposition."""
+    import numpy as np
+
+    from .channels import Superoperator, mp_channel_sym, trace_channel_sym
+
     m_kk = mp_clone_coefficient(d, n, k, k)
     eps = 1 - m_kk
     mp = mp_channel_sym(d, n, k)

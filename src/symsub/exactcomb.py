@@ -13,6 +13,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
+from .guards import guard_partitions
+
 
 @dataclass(frozen=True)
 class TypeVector:
@@ -88,6 +90,38 @@ def enumerate_types(d: int, n: int) -> list[TypeVector]:
 
     rec((), n, d)
     return out
+
+
+def conjugation_fixed_dimension(d: int, n: int) -> int:
+    """(1/n!) sum_pi d^(2 cycles(pi)), the commutant dimension of the
+    conjugation action of S_n on n copies of the d x d matrix algebra.
+
+    Summed over cycle types: each partition lambda of n, with m_i parts equal
+    to i, stands for the n!/z_lambda permutations with z_lambda =
+    prod_i i^m_i m_i!, each with l(lambda) = sum_i m_i cycles.  Listing the
+    partitions keeps this an independent check of the closed form
+    sym_dim(d**2, n)."""
+    guard_partitions(n)
+    n_fact = factorial(n)
+    powers = [(d * d) ** length for length in range(n + 1)]
+    total = 0
+
+    def visit(remaining: int, largest: int, length: int, z: int) -> None:
+        # add every partition that completes the parts chosen so far with
+        # parts of size <= largest; parts of size 1 close each one
+        nonlocal total
+        for part in range(min(largest, remaining), 1, -1):
+            z_part = z
+            for m in range(1, remaining // part + 1):
+                z_part *= part * m
+                visit(remaining - m * part, part - 1, length + m, z_part)
+        total += n_fact // (z * factorial(remaining)) * powers[length + remaining]
+
+    visit(n, n, 0, 1)
+    quotient, remainder = divmod(total, n_fact)
+    if remainder:
+        raise ArithmeticError("commutant dimension sum not divisible by n!")
+    return quotient
 
 
 def mp_clone_coefficient(d: int, n: int, k: int, s: int) -> Fraction:

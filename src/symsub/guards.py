@@ -6,6 +6,7 @@ import os
 
 DEFAULT_MAX_DIM = 2**14
 PERMUTATION_ENUMERATION_CAP = 9  # largest n for which all of S_n is listed
+PARTITION_COUNT_CAP = 10**6      # most partitions of n that are listed
 MATCHING_ENUMERATION_CAP = 6     # largest n for which matchings of [2n] are listed
 
 _max_dim_override: int | None = None
@@ -46,6 +47,29 @@ def guard_permutations(n: int) -> None:
         raise DimensionGuardError(
             f"refusing to enumerate S_{n} ({n}! elements; cap n <= {PERMUTATION_ENUMERATION_CAP})"
         )
+
+
+def guard_partitions(n: int) -> None:
+    """Refuse n whose partition count p(n) exceeds PARTITION_COUNT_CAP.
+
+    Counts p(0), p(1), ... by Euler's pentagonal recurrence and stops at the
+    first count above the cap (p never decreases), so even a huge n is
+    refused at once."""
+    counts = [1]
+    for m in range(1, n + 1):
+        value, k = 0, 1
+        while (pent := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            value += sign * counts[m - pent]
+            if pent + k <= m:
+                value += sign * counts[m - pent - k]
+            k += 1
+        if value > PARTITION_COUNT_CAP:
+            raise DimensionGuardError(
+                f"refusing to enumerate the partitions of {n} "
+                f"(more than the cap {PARTITION_COUNT_CAP}: p({m}) = {value})"
+            )
+        counts.append(value)
 
 
 def guard_matchings(n: int) -> None:

@@ -23,6 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .exactcomb import conjugation_fixed_dimension  # noqa: F401  re-exported
 from .exactcomb import enumerate_types, multinomial, sym_dim
 from .guards import guard_dimension, guard_matchings, guard_permutations
 
@@ -332,7 +333,7 @@ def matching_operator(d: int, n: int, matching: Matching) -> Operator:
 
 
 # ---------------------------------------------------------------------------
-# partial trace and commutant checks
+# partial trace
 # ---------------------------------------------------------------------------
 
 def partial_trace(op: Operator, keep: Iterable[int]) -> Operator:
@@ -357,32 +358,6 @@ def partial_trace(op: Operator, keep: Iterable[int]) -> Operator:
     kept_dims = tuple(dims[i] for i in keep_list)
     dim = prod(kept_dims)
     return Operator(tensor.reshape(dim, dim), kept_dims, kept_dims)
-
-
-def conjugation_fixed_dimension(d: int, n: int) -> int:
-    """(1/n!) sum_pi d^(2 cycles(pi)), the commutant dimension of the
-    conjugation action of S_n on n copies of the d x d matrix algebra.
-
-    Computed by brute-force enumeration so it stays an independent check of
-    the closed form sym_dim(d**2, n)."""
-    guard_permutations(n)
-    total = 0
-    for images in iter_permutations(range(n)):
-        seen = [False] * n
-        cycles = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = images[j]
-        total += d ** (2 * cycles)
-    quotient, remainder = divmod(total, factorial(n))
-    if remainder:
-        raise ArithmeticError("commutant dimension sum not divisible by n!")
-    return quotient
 
 
 def _tensor_power_rows(vectors: np.ndarray, n: int) -> np.ndarray:

@@ -195,6 +195,10 @@ def test_sym_request_over_superoperator_guard_exits_3(capsys):
         ["--tol-scale", "inf", "verify", "psym", "--d", "2", "--n", "2"],
         ["--tol-scale", "0", "verify", "psym", "--d", "2", "--n", "2"],
         ["verify", "psym", "--d", "2", "--n", "2", "--tol-scale", "abc"],
+        ["mc", "schmidt", "--d", "4", "--eps", "-1", "--samples", "100"],
+        ["mc", "schmidt", "--d", "4", "--eps", "inf", "--samples", "100"],
+        ["mc", "schmidt", "--d", "4", "--eps", "nan", "--samples", "100"],
+        ["mc", "schmidt", "--d", "4", "--eps", "0", "--samples", "100"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

@@ -235,3 +235,48 @@ def test_jacobi_form_of_the_coefficient_polynomial(d, n, k, x):
     k = min(k, n)
     if x != 1:
         assert mp_polynomial_jacobi_identity(d, n, k, (x,))
+
+
+# ---------------------------------------------------------------------------
+# the inversion identity check
+# ---------------------------------------------------------------------------
+
+def _identity_check_by_fractions(c):
+    """Expand every B_s = sum_{t>=s} M_{k-s,k-t} A_t of the coefficients c back
+    into the A basis in Fractions and compare with A_0."""
+    d, n, k, r = c.d, c.n, c.k, c.r
+    acc = [Fraction(0)] * (k + 1)
+    for s, xs in enumerate(c.x):
+        for t in range(s, k + 1):
+            acc[t] += xs * mp_clone_coefficient(d, n, k - s, k - t)
+    for s in range(r, k + 1):
+        acc[s] += c.y[s - r]
+    return acc == [Fraction(1)] + [Fraction(0)] * k
+
+
+IDENTITY_GRID = (
+    [(d, n, k, r) for d, n, k in [(2, 4, 1), (2, 5, 3), (3, 6, 2), (2, 8, 4), (4, 5, 2)] for r in range(k + 1)]
+    + [(d, n, k, k) for d, n, k in [(1, 3, 3), (2, 5, 0), (2, 9, 4), (3, 8, 8), (4, 12, 5)]]
+    + [(1, 5, 3, 0), (1, 1, 1, 1), (3, 20, 7, 3), (2, 60, 12, 12), (3, 5000, 200, 200)]
+)
+
+
+@pytest.mark.parametrize("d,n,k,r", IDENTITY_GRID)
+def test_identity_check_matches_fraction_expansion(d, n, k, r):
+    c = exp_definetti_coefficients(d, n, k, r)
+    assert exp_definetti_identity_check(d, n, k, r) is _identity_check_by_fractions(c) is True
+
+
+@pytest.mark.parametrize("field,index", [("x", 0), ("x", -1), ("y", 0), ("y", -1)])
+def test_identity_check_rejects_a_perturbed_coefficient(monkeypatch, field, index):
+    import dataclasses
+
+    from symsub import definetti
+
+    d, n, k, r = 3, 20, 6, 3
+    good = exp_definetti_coefficients(d, n, k, r)
+    values = list(getattr(good, field))
+    values[index] += Fraction(1, 10**30)
+    bad = dataclasses.replace(good, **{field: tuple(values)})
+    monkeypatch.setattr(definetti, "exp_definetti_coefficients", lambda *args: bad)
+    assert definetti.exp_definetti_identity_check(d, n, k, r) is _identity_check_by_fractions(bad) is False

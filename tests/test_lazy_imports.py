@@ -1,0 +1,192 @@
+"""The exact layer runs without numpy, and the package loads lazily.
+
+``import symsub`` imports no submodule; each exported name resolves on first
+access.  The exact commands of the CLI, and the modules they use (exactcomb,
+guards, definetti, concentration), must run in an interpreter where numpy
+cannot be imported at all: the subprocess below sets
+``sys.modules["numpy"] = None``, so any import of numpy raises ImportError.
+"""
+
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+import symsub
+from symsub import exactcomb, tensorspace
+from symsub.cli import main
+from symsub.guards import DimensionGuardError
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(symsub.__file__)))
+
+EXACT_COMMANDS = [
+    "dims --d 2 --n 3",
+    "coeffs --d 2 --n 4 --k 2",
+    "verify jacobi --d 3 --n 4 --k 2",
+    "verify commutant-dim --d 2 --n 4",
+    "definetti eps --d 2 --n 100 --k 1",
+    "definetti coeffs --d 2 --n 4 --k 1",
+    "bound tail --dims 2,2 --r 1 --gamma 1 --nmax 64 --format csv",
+    "bound smoothgap --d 2 --x 1",
+]
+
+# run in a fresh interpreter that cannot import numpy; prints one JSON object
+NUMPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import symsub
+value = symsub.sym_dim(2, 3)
+from symsub.cli import main
+runs = {}
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv.split())
+    runs[argv] = [code, out.getvalue()]
+dense = sorted(m for m in ("tensorspace", "channels", "randomness") if "symsub." + m in sys.modules)
+print(json.dumps({"sym_dim": value, "runs": runs, "dense_modules": dense}))
+"""
+
+
+def _python(program: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", program, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def _mask_elapsed(text: str) -> str:
+    return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text)
+
+
+def test_exact_commands_run_without_numpy(capsys):
+    proc = _python(NUMPY_BLOCKED, json.dumps(EXACT_COMMANDS))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["sym_dim"] == 4
+    assert result["dense_modules"] == []
+    for argv in EXACT_COMMANDS:
+        code, out = result["runs"][argv]
+        # the same report as in this process, where numpy is importable
+        assert main(argv.split()) == 0
+        assert code == 0, argv
+        assert _mask_elapsed(out) == _mask_elapsed(capsys.readouterr().out), argv
+
+
+def test_import_symsub_loads_no_submodule():
+    program = (
+        "import sys; import symsub; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('symsub.'))); "
+        "print([name for name in dir(symsub) if not name.startswith('_')] == symsub.__all__); "
+        "channels = symsub.channels; "
+        "print(channels is sys.modules['symsub.channels'], 'numpy' in sys.modules)"
+    )
+    proc = _python(program)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["[]", "True", "True True"]
+
+
+# the package exports as they were imported eagerly: module -> names
+EXPORTS = {
+    "exactcomb": [
+        "TypeVector", "binomial", "enumerate_types", "jacobi_polynomial", "mp_clone_coefficient",
+        "mp_clone_polynomial", "mp_polynomial_jacobi_identity", "multinomial", "real_moment_ratio", "sym_dim",
+    ],
+    "guards": ["DimensionGuardError", "max_dim", "set_max_dim"],
+    "tensorspace": [
+        "Matching", "Operator", "Permutation", "conjugation_fixed_dimension", "enumerate_matchings",
+        "matching_from_permutation", "matching_operator", "operator_from_json", "operator_tensor",
+        "operator_to_json", "partial_trace", "permutation_operator", "sym_projector_group",
+        "tensor_power_span_rank", "type_isometry",
+    ],
+    "channels": [
+        "Superoperator", "apply", "choi_matrix", "clone_channel", "clone_channel_sym", "compose",
+        "estimation_fidelity", "f_overlap", "mp_channel", "mp_channel_sym", "trace_channel",
+        "trace_channel_sym", "verify_chiribella",
+    ],
+    "definetti": [
+        "DeFinettiCoefficients", "check_coefficient_bounds", "definetti_epsilon", "exp_definetti_coefficients",
+        "exp_definetti_full_coefficients", "verify_exp_definetti",
+    ],
+    "randomness": [
+        "RngStream", "gaussian_vector", "haar_state", "haar_unitary", "mc_projector_moment",
+        "mc_real_unit_moment", "mc_tensor_power_mean", "random_projector",
+    ],
+    "concentration": [
+        "MultiPartition", "TailBoundResult", "experiment_product_free", "experiment_schmidt_tail", "mu_exact",
+        "nu_max", "product_state_threshold", "smooth_gap_bound", "tail_bound",
+    ],
+}
+
+
+def test_package_surface_unchanged():
+    names = [name for names in EXPORTS.values() for name in names]
+    assert len(names) == 64
+    # the 64 names and the 7 submodules, as the eager package listed them
+    assert symsub.__all__ == sorted(names + list(EXPORTS))
+    public = [name for name in dir(symsub) if not name.startswith("_")]
+    assert public == sorted(public) and set(public) - set(symsub.__all__) <= {"cli"}  # cli once imported
+    for module, module_names in EXPORTS.items():
+        assert getattr(symsub, module) is importlib.import_module(f"symsub.{module}")
+        for name in module_names:
+            assert getattr(symsub, name) is getattr(importlib.import_module(f"symsub.{module}"), name), name
+    assert symsub.conjugation_fixed_dimension is exactcomb.conjugation_fixed_dimension
+    namespace = {}
+    exec("from symsub import *", namespace)
+    assert set(symsub.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        symsub.not_a_name
+    with pytest.raises(ImportError):
+        exec("from symsub import not_a_name", {})
+
+
+# ---------------------------------------------------------------------------
+# the commutant dimension over cycle types
+# ---------------------------------------------------------------------------
+
+def _commutant_by_permutations(d, n):
+    """(1/n!) sum over every pi in S_n of d^(2 cycles(pi)), by enumeration."""
+    from itertools import permutations
+    from math import factorial
+
+    total = 0
+    for images in permutations(range(n)):
+        seen, cycles = [False] * n, 0
+        for start in range(n):
+            if not seen[start]:
+                cycles += 1
+                j = start
+                while not seen[j]:
+                    seen[j], j = True, images[j]
+        total += d ** (2 * cycles)
+    assert total % factorial(n) == 0
+    return total // factorial(n)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_commutant_dimension_matches_permutation_enumeration(n):
+    for d in (1, 2, 3, 5):
+        assert exactcomb.conjugation_fixed_dimension(d, n) == _commutant_by_permutations(d, n), (d, n)
+
+
+def test_commutant_dimension_beyond_the_permutation_cap():
+    assert tensorspace.conjugation_fixed_dimension is exactcomb.conjugation_fixed_dimension
+    for d, n in [(2, 10), (3, 20), (7, 35), (2, 50)]:
+        assert exactcomb.conjugation_fixed_dimension(d, n) == exactcomb.sym_dim(d * d, n), (d, n)
+    with pytest.raises(DimensionGuardError, match="partitions of 61"):
+        exactcomb.conjugation_fixed_dimension(2, 61)
+    with pytest.raises(DimensionGuardError, match="partitions of 1000000000"):
+        exactcomb.conjugation_fixed_dimension(2, 10**9)
+
+
+def test_commutant_command_above_n9_and_partition_guard(capsys):
+    assert main(["verify", "commutant-dim", "--d", "2", "--n", "12"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"][0]["actual"] == exactcomb.sym_dim(4, 12)
+    assert main(["verify", "commutant-dim", "--d", "2", "--n", "61"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "dimension guard" in captured.err
