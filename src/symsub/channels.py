@@ -5,14 +5,16 @@ partial trace, plus verification of the identity relating them.
 Vectorization is column-stacking throughout: vec(A) stacks the columns of A,
 so vec(AXB) = (B^T (x) A) vec(X) and a Kraus map sums conj(K) (x) K.
 
-Each channel family comes in two representations.  The plain constructors
-return superoperators on the full embedded space (d^n coordinates); the
-``*_sym`` constructors return the same channel on symmetric-subspace
+The ``*_sym`` constructors return each channel on symmetric-subspace
 coordinates, written directly from multinomial amplitudes in the type basis
 (no d^n-sided object is built).  Those matrices are small (sym_dim-sided) and
 carry exactly the channel's action on symmetric inputs, which is the only
-region where the channel definitions are pinned; ``compress_superoperator``
-of the full-space channel is the reference they are tested against.
+region where the channel definitions are pinned; the identity verifiers run
+on them by default.  The plain constructors return the same channels on the
+full embedded space (d^n coordinates).  They, ``projection_superoperator``
+and ``compress_superoperator`` are the oracle: the tests compare the
+``*_sym`` channels against the compressed full-space ones, and
+``chiribella_sides(..., "full")`` checks the identity on the embedded space.
 """
 
 from __future__ import annotations
@@ -312,46 +314,41 @@ def chiribella_coefficient_identity(d: int, n: int, k: int, s: int) -> bool:
     return lhs == mp_clone_coefficient(d, n, k, s)
 
 
-def resolve_representation(d: int, n: int, k: int, requested: str = "auto") -> str:
-    """The representation ``chiribella_sides`` runs for ``requested``: "auto"
-    picks "full" while every full-space superoperator holds at most 2^22
-    entries, and "sym" beyond."""
-    if requested == "auto":
-        return "full" if max(d ** (2 * (n + k)), d ** (4 * n), d ** (4 * k)) <= 2**22 else "sym"
-    if requested not in ("full", "sym"):
-        raise ValueError(f"unknown representation {requested!r}")
-    return requested
+def compose_sum(terms, shape: tuple[int, int]) -> np.ndarray:
+    """Sum of weight * compose(first, then).matrix over (weight, first, then)
+    terms, added into one buffer as each piece is built."""
+    acc = np.zeros(shape, dtype=complex)
+    for weight, first, then in terms:
+        acc += float(weight) * compose(first, then).matrix
+    return acc
 
 
-def chiribella_sides(d: int, n: int, k: int, representation: str = "auto"):
+def chiribella_sides(d: int, n: int, k: int, representation: str = "sym"):
     """Build both sides of the measure-and-prepare expansion
     MP_{n->k} = sum_s M_{k,s} clone_{s->k} o tr_{n-s} as superoperator matrices,
     restricted to symmetric inputs.
 
-    representation: "sym" (symmetric coordinates), "full" (embedded space with
-    symmetric-input projection pre-composed), or "auto" (see
-    ``resolve_representation``).
+    representation: "sym" (symmetric coordinates) or "full", the oracle on the
+    embedded space, where both sides are right-multiplied once by the
+    symmetric-input projection (composition is linear, so this equals
+    projecting every piece).
     """
-    representation = resolve_representation(d, n, k, representation)
     if representation == "sym":
-        lhs = mp_channel_sym(d, n, k)
-        rhs = np.zeros_like(lhs.matrix)
-        for s in range(0, min(n, k) + 1):
-            weight = float(mp_clone_coefficient(d, n, k, s))
-            piece = compose(trace_channel_sym(d, n, s), clone_channel_sym(d, s, k - s))
-            rhs += weight * piece.matrix
-        return lhs.matrix, rhs
-    proj = projection_superoperator(d, n)
-    lhs = compose(proj, mp_channel(d, n, k))
-    rhs = np.zeros_like(lhs.matrix)
-    for s in range(0, min(n, k) + 1):
-        weight = float(mp_clone_coefficient(d, n, k, s))
-        piece = compose(proj, compose(trace_channel(d, n, s), clone_channel(d, s, k - s)))
-        rhs += weight * piece.matrix
-    return lhs.matrix, rhs
+        mp, trace, clone = mp_channel_sym, trace_channel_sym, clone_channel_sym
+    elif representation == "full":
+        mp, trace, clone = mp_channel, trace_channel, clone_channel
+    else:
+        raise ValueError(f"unknown representation {representation!r}")
+    lhs = mp(d, n, k).matrix
+    terms = ((mp_clone_coefficient(d, n, k, s), trace(d, n, s), clone(d, s, k - s)) for s in range(min(n, k) + 1))
+    rhs = compose_sum(terms, lhs.shape)
+    if representation == "full":
+        proj = projection_superoperator(d, n).matrix
+        lhs, rhs = lhs @ proj, rhs @ proj
+    return lhs, rhs
 
 
-def verify_chiribella(d: int, n: int, k: int, representation: str = "auto") -> float:
+def verify_chiribella(d: int, n: int, k: int, representation: str = "sym") -> float:
     """Frobenius residual between the two sides of the channel identity; also
     asserts the exact rational coefficient identity for every s."""
     for s in range(k + 1):

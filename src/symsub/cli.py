@@ -172,8 +172,6 @@ def cmd_verify_commutant(args, rep: Report) -> None:
 def cmd_verify_chiribella(args, rep: Report) -> None:
     from . import channels
 
-    # the report names the representation that ran, not the one requested
-    args.representation = channels.resolve_representation(args.d, args.n, args.k, args.representation)
     exact_ok = all(
         channels.chiribella_coefficient_identity(args.d, args.n, args.k, s) for s in range(args.k + 1)
     )
@@ -367,7 +365,7 @@ _FLAGS = {
     "eps": dict(type=_positive_finite_float, required=True),
     "field": dict(choices=("real", "complex"), required=True),
     "dist": dict(choices=("haar", "real-unit"), required=True),
-    "representation": dict(choices=("auto", "full", "sym"), default="auto"),
+    "representation": dict(choices=("sym", "full"), default="sym"),
     "dump-operator": dict(action="store_true", help="embed the mean operator as JSON"),
 }
 
@@ -484,7 +482,7 @@ def main(argv=None) -> int:
     finally:
         if args.max_dim is not None:
             set_max_dim(None)
-    # read after the handler, which may resolve a param (the representation, the default r)
+    # read after the handler, which may resolve a param (the default r)
     report.params = {name: _fmt(getattr(args, name)) for name in spec.params.split()}
     return report.emit(args.format)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import exp, log, prod
+from math import exp, inf, log, prod
 from typing import TYPE_CHECKING
 
 from .exactcomb import sym_dim
@@ -317,7 +317,10 @@ def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStr
     from .randomness import _blocks, haar_state_batch
 
     guard_dimension(d * d)
-    threshold = 16.0 / (np.e * d) * exp(epsilon)
+    try:
+        threshold = 16.0 / (np.e * d) * exp(epsilon)
+    except OverflowError:  # no squared Schmidt coefficient (at most 1) reaches it
+        threshold = inf
     exceed = 0
     top_sum = 0.0
     for block, size in _blocks(samples):
@@ -382,14 +385,12 @@ def experiment_product_free(
     tail bound.  When it does not hold, the report says so and makes no
     claim."""
     from .randomness import random_projector
-    from .tensorspace import Operator
 
     met = product_state_threshold(part, rank)
     overlaps: list[float] = []
     if met:
         for t in range(trials):
             proj = random_projector(part.total, rank, stream.split(t))
-            proj = Operator(proj.entries, part.dims, part.dims)
             overlaps.append(nu_max(proj, part, restarts=restarts, stream=stream.split(10_000 + t)))
     return ProductFreeReport(
         dims=part.dims, rank=rank, threshold_met=met, trials=trials if met else 0,

@@ -188,17 +188,12 @@ def check_coefficient_bounds(c: DeFinettiCoefficients) -> CoefficientBoundsRepor
 def exp_definetti_sides(d: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """tr_{n-k} and sum_s x_s clone_{k-s->k} o MP_{n->k-s} on symmetric
     coordinates, as superoperator matrices."""
-    import numpy as np
-
-    from .channels import clone_channel_sym, compose, mp_channel_sym, trace_channel_sym
+    from .channels import clone_channel_sym, compose_sum, mp_channel_sym, trace_channel_sym
 
     lhs = trace_channel_sym(d, n, k).matrix
     coeffs = exp_definetti_full_coefficients(d, n, k)
-    rhs = np.zeros_like(lhs)
-    for s, xs in enumerate(coeffs):
-        piece = compose(mp_channel_sym(d, n, k - s), clone_channel_sym(d, k - s, s))
-        rhs += float(xs) * piece.matrix
-    return lhs, rhs
+    terms = ((xs, mp_channel_sym(d, n, k - s), clone_channel_sym(d, k - s, s)) for s, xs in enumerate(coeffs))
+    return lhs, compose_sum(terms, lhs.shape)
 
 
 def verify_exp_definetti(d: int, n: int, k: int) -> float:

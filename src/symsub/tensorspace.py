@@ -178,7 +178,6 @@ def _transposition_index_map(d: int, n: int, i: int, j: int) -> np.ndarray:
     return _index_grid(d, n).swapaxes(i, j).reshape(-1)
 
 
-@lru_cache(maxsize=None)
 def _symmetrizer_int(d: int, n: int) -> np.ndarray:
     """Unnormalized symmetrizer sum_pi P(pi) with exact integer entries.
 
@@ -202,7 +201,6 @@ def _symmetrizer_int(d: int, n: int) -> np.ndarray:
             np.take(base, _transposition_index_map(d, m, j, m - 1), axis=1, out=gathered)
             total += gathered
         mat = total
-    mat.setflags(write=False)
     return mat
 
 

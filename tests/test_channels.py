@@ -217,7 +217,7 @@ def test_chiribella_coefficient_identity_grid():
 
 
 @pytest.mark.parametrize(
-    "d,n,k", [(2, 2, 1), (2, 3, 2), (3, 2, 1), (2, 4, 2), (3, 2, 2), (4, 2, 1)]
+    "d,n,k", [(2, 2, 1), (2, 3, 2), (3, 2, 1), (2, 4, 2), (3, 2, 2), (4, 2, 1), (3, 3, 3)]
 )
 def test_chiribella_residual_both_representations(d, n, k):
     assert verify_chiribella(d, n, k, "full") <= 1e-10

@@ -100,6 +100,17 @@ def test_mc_commands(capsys):
     assert doc["checks"][0]["actual"] is False  # threshold not met, no claim
 
 
+def test_mc_schmidt_overflowing_threshold_is_inf(capsys):
+    # e^1000 overflows a float: the threshold is inf, nothing reaches it, and
+    # the bound e^(-4000) underflows to 0
+    code, out, err = _run(capsys, ["mc", "schmidt", "--d", "4", "--eps", "1000", "--samples", "100"])
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 0 and err == ""
+    assert checks["threshold"]["actual"] == "inf"
+    assert checks["exceedance_fraction"]["actual"] == "0"
+    assert checks["exceedance_fraction"]["tolerance"] == "0"
+
+
 def test_mc_meanpower_and_wick(capsys):
     code, _ = _json_run(
         capsys,
@@ -199,6 +210,7 @@ def test_sym_request_over_superoperator_guard_exits_3(capsys):
         ["mc", "schmidt", "--d", "4", "--eps", "inf", "--samples", "100"],
         ["mc", "schmidt", "--d", "4", "--eps", "nan", "--samples", "100"],
         ["mc", "schmidt", "--d", "4", "--eps", "0", "--samples", "100"],
+        ["verify", "chiribella", "--d", "2", "--n", "2", "--k", "1", "--representation", "auto"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

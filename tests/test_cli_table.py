@@ -1,13 +1,13 @@
 """Every command of the command table: its report names the command's path
-and lists its params in the declared order; params that the command resolves
-(the representation, the default inversion steps) report what ran."""
+and lists its params in the declared order; params report what ran (the
+representation, the default inversion steps)."""
 
 import json
 
 import pytest
 
 from symsub import cli
-from symsub.channels import resolve_representation
+from symsub.channels import chiribella_sides
 from symsub.cli import main
 
 # one small argv per command, with the report params in report order
@@ -62,7 +62,7 @@ def test_definetti_coeffs_reports_resolved_r(capsys):
 
 @pytest.mark.parametrize(
     "extra,ran",
-    [([], "full"), (["--representation", "auto"], "full"), (["--representation", "sym"], "sym")],
+    [([], "sym"), (["--representation", "sym"], "sym")],
 )
 def test_chiribella_reports_resolved_representation(capsys, extra, ran):
     _, doc = _json_run(capsys, ["verify", "chiribella", "--d", "2", "--n", "2", "--k", "1", *extra])
@@ -70,18 +70,14 @@ def test_chiribella_reports_resolved_representation(capsys, extra, ran):
 
 
 def test_chiribella_auto_resolves_to_sym_beyond_full_cap(capsys):
-    # 2^(2(n+k)) = 2^24 entries exceeds the 2^22 cap of the full representation
+    # the default runs sym, also where a full-space superoperator would hold 2^(2(n+k)) = 2^24 entries
     code, doc = _json_run(capsys, ["verify", "chiribella", "--d", "2", "--n", "6", "--k", "6"])
     assert code == 0 and doc["params"]["representation"] == "sym"
 
 
-def test_resolve_representation():
-    assert resolve_representation(2, 2, 1) == "full"
-    assert resolve_representation(2, 6, 6, "auto") == "sym"
-    assert resolve_representation(2, 6, 6, "full") == "full"
-    assert resolve_representation(2, 2, 1, "sym") == "sym"
+def test_unknown_representation_raises():
     with pytest.raises(ValueError, match="unknown representation"):
-        resolve_representation(2, 2, 1, "dense")
+        chiribella_sides(2, 2, 1, "dense")
 
 
 @pytest.mark.parametrize(
