@@ -311,24 +311,39 @@ class SchmidtTailReport:
 def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStream) -> SchmidtTailReport:
     """Sample Haar states on C^d (x) C^d and compare the empirical tail of the
     largest squared Schmidt coefficient against the bound
-    Pr[lambda_max >= (16/(e d)) e^eps] <= e^(-d eps)."""
+    Pr[lambda_max >= (16/(e d)) e^eps] <= e^(-d eps).
+
+    The states stream through ``haar_state_chunks``: the memory held is one
+    block of real parts, 8 min(BLOCK_SIZE, samples) d^2 bytes, plus one chunk
+    (about 3.5 ``CHUNK_BYTES``), and the report is bit-identical to SVDs of
+    whole ``haar_state_batch`` blocks.
+    """
     import numpy as np
 
-    from .randomness import _blocks, haar_state_batch
+    from .randomness import BLOCK_SIZE, _blocks, haar_state_chunks
 
+    if d < 1:
+        raise ValueError("d must be positive")
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    if not epsilon >= 0:  # also refuses nan; epsilon = 0 gives the trivial bound 1
+        raise ValueError("epsilon must be non-negative")
     guard_dimension(d * d)
     try:
         threshold = 16.0 / (np.e * d) * exp(epsilon)
     except OverflowError:  # no squared Schmidt coefficient (at most 1) reaches it
         threshold = inf
+    rows = min(BLOCK_SIZE, samples)
+    real = np.empty((rows, d * d))
+    lam = np.empty(rows)
     exceed = 0
     top_sum = 0.0
     for block, size in _blocks(samples):
-        psi = haar_state_batch(d * d, stream.block_generator(block), size)
-        svals = np.linalg.svd(psi.reshape(size, d, d), compute_uv=False)
-        lam = svals[:, 0] ** 2
-        exceed += int(np.sum(lam >= threshold))
-        top_sum += float(lam.sum())
+        for start, psi in haar_state_chunks(d * d, stream.block_generator(block), size, real):
+            svals = np.linalg.svd(psi.reshape(-1, d, d), compute_uv=False)
+            np.square(svals[:, 0], out=lam[start : start + len(psi)])
+        exceed += int(np.sum(lam[:size] >= threshold))
+        top_sum += float(lam[:size].sum())
     return SchmidtTailReport(
         d=d, samples=samples, epsilon=epsilon, threshold=threshold,
         exceedances=exceed, fraction=exceed / samples, bound=exp(-d * epsilon),

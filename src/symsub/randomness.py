@@ -7,6 +7,12 @@ Reproducibility contract: an estimator consumes samples in blocks of
 ``SeedSequence(entropy=seed, spawn_key=(stream_id, b))``.  Identical
 (seed, stream_id) therefore reproduce bit-identical estimates, and blocks can
 be farmed out in parallel as long as the reduction keeps block order.
+
+Draw order of a block of Haar states: all of the block's real parts first, row
+by row, then its imaginary parts in the same row order.  ``Generator`` fills
+arrays element by element, so ``haar_state_chunks`` can draw the imaginary
+parts one chunk of rows at a time and still reproduce ``haar_state_batch``
+bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ from .tensorspace import (
 )
 
 BLOCK_SIZE = 1024
+# bytes of complex rows in one chunk of haar_state_chunks; drawing and
+# normalizing a chunk holds about 3.5 times this at its peak
+CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -79,6 +88,31 @@ def haar_state_batch(d: int, gen: np.random.Generator, count: int) -> np.ndarray
     z.imag = gen.standard_normal((count, d))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z
+
+
+def haar_state_chunks(
+    d: int, gen: np.random.Generator, count: int, real: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The rows of ``haar_state_batch(d, gen, count)``, bit for bit, as
+    ``(start, rows)`` chunks of at most ``CHUNK_BYTES`` bytes each (one row
+    when a row is larger).
+
+    All ``count`` real parts are drawn first, into the float buffer ``real`` of
+    at least ``count`` rows of ``d``; then each chunk's imaginary parts.  The
+    yielded rows live in one buffer that the next chunk overwrites.
+    """
+    rows = max(1, CHUNK_BYTES // (16 * d))
+    real = gen.standard_normal(out=real[:count])
+    imag = np.empty((min(rows, count), d))
+    z = np.empty(imag.shape, dtype=complex)
+    for start in range(0, count, rows):
+        m = min(rows, count - start)
+        gen.standard_normal(out=imag[:m])
+        chunk = z[:m]
+        chunk.real = real[start : start + m]
+        chunk.imag = imag[:m]
+        chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)
+        yield start, chunk
 
 
 def gaussian_batch(d: int, field: str, gen: np.random.Generator, count: int) -> np.ndarray:
@@ -150,6 +184,13 @@ class ScalarEstimate:
     samples: int
 
 
+def _check_counts(n: int, total: int) -> None:
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if total < 1:
+        raise ValueError("total must be positive")
+
+
 def mc_tensor_power_mean(
     sampler: Callable[[np.random.Generator, int], np.ndarray],
     n: int,
@@ -160,6 +201,7 @@ def mc_tensor_power_mean(
 
     sampler(gen, m) must return an (m, d) array of vectors.
     """
+    _check_counts(n, total)
     first = sampler(stream.block_generator(0), 1)
     d = first.shape[1]
     dim = d**n
@@ -190,6 +232,7 @@ def mc_projector_moment(dim: int, rank: int, n: int, total: int, stream: RngStre
     """
     if not 1 <= rank <= dim:
         raise ValueError("need 1 <= rank <= dim")
+    _check_counts(n, total)
     acc1 = 0.0
     acc2 = 0.0
     for block, size in _blocks(total):

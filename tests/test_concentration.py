@@ -251,6 +251,37 @@ def test_schmidt_tail_d16():
     assert report.mean_top_schmidt < 2.5 * (4 / 16)
 
 
+@pytest.mark.parametrize(
+    "d,samples,epsilon,message",
+    [
+        (4, 0, 0.2, "samples must be positive"),
+        (4, -3, 0.2, "samples must be positive"),
+        (0, 100, 0.2, "d must be positive"),
+        (4, 100, float("nan"), "epsilon must be non-negative"),
+        (4, 100, -1.0, "epsilon must be non-negative"),
+        (4, 100, -1e-300, "epsilon must be non-negative"),
+    ],
+)
+def test_schmidt_tail_refuses_out_of_range_arguments(d, samples, epsilon, message):
+    with pytest.raises(ValueError, match=message):
+        experiment_schmidt_tail(d, samples, epsilon, RngStream(24))
+
+
+def test_schmidt_tail_traced_peak_is_one_block_of_real_parts():
+    # numpy reports its buffers to tracemalloc; whole complex blocks peaked at
+    # about 12 MiB here, one float block of real parts is 2 MiB
+    import tracemalloc
+
+    experiment_schmidt_tail(16, 10, 0.2, RngStream(25))  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        experiment_schmidt_tail(16, 3000, 0.2, RngStream(25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 1024 * 16**2 + 2 * 2**20
+
+
 def test_product_free_experiment():
     part = MultiPartition((2, 3))
     report = experiment_product_free(part, 2, restarts=8, stream=RngStream(23), trials=5)

@@ -19,6 +19,7 @@ from symsub.channels import clone_channel, kraus_superoperator, trace_channel
 from symsub.concentration import MultiPartition, experiment_schmidt_tail, mu_exact
 from symsub.exactcomb import real_moment_ratio, sym_dim
 from symsub.randomness import (
+    CHUNK_BYTES,
     RngStream,
     haar_state_batch,
     real_gaussian_moment_operator,
@@ -327,5 +328,28 @@ def test_schmidt_tail_matches_literal_block_loop():
         done += size
         block += 1
     report = experiment_schmidt_tail(d, samples, epsilon, stream)
+    assert report.exceedances == exceed
+    assert report.mean_top_schmidt == top_sum / samples
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 32])
+@pytest.mark.parametrize(
+    "samples",
+    [lambda c: 1, lambda c: c - 1, lambda c: c + 1, lambda c: 1024, lambda c: 1025],
+    ids=["one", "chunk-1", "chunk+1", "block", "block+1"],
+)
+def test_streamed_schmidt_tail_matches_whole_block_svd(d, samples):
+    samples = samples(max(1, CHUNK_BYTES // (16 * d * d)))
+    epsilon, stream = 0.05, RngStream(32, d)
+    threshold = 16.0 / (np.e * d) * exp(epsilon)
+    exceed, top_sum = 0, 0.0
+    for block, start in enumerate(range(0, samples, 1024)):
+        size = min(1024, samples - start)
+        psi = haar_state_batch(d * d, stream.block_generator(block), size)
+        lam = np.linalg.svd(psi.reshape(size, d, d), compute_uv=False)[:, 0] ** 2
+        exceed += int(np.sum(lam >= threshold))
+        top_sum += float(lam.sum())
+    report = experiment_schmidt_tail(d, samples, epsilon, stream)
+    assert (report.samples, report.threshold) == (samples, threshold)
     assert report.exceedances == exceed
     assert report.mean_top_schmidt == top_sum / samples

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from symsub.randomness import (
+    CHUNK_BYTES,
     RngStream,
     complex_gaussian_moment_operator,
     gaussian_batch,
@@ -15,6 +16,7 @@ from symsub.randomness import (
     haar_moment_operator,
     haar_state,
     haar_state_batch,
+    haar_state_chunks,
     haar_unitary,
     mc_projector_moment,
     mc_real_unit_moment,
@@ -190,3 +192,47 @@ def test_mean_power_at_n0_is_the_scalar_one():
     assert np.array_equal(est.mean.entries, np.ones((1, 1)))
     assert est.frob_stderr == 0.0
     assert frobenius_distance(est.mean, haar_moment_operator(3, 0)) == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 16, 1024, 16384])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_haar_state_chunks_bit_identical_to_batch(d, extra):
+    # counts one row short of, at and past a whole number of chunks
+    rows = max(1, CHUNK_BYTES // (16 * d))
+    count = 2 * rows + extra
+    want = haar_state_batch(d, RngStream(32, d).block_generator(0), count)
+    starts, chunks = [], []
+    for start, chunk in haar_state_chunks(d, RngStream(32, d).block_generator(0), count, np.empty((count, d))):
+        assert len(chunk) <= rows
+        starts.append(start)
+        chunks.append(chunk.copy())
+    assert starts == list(range(0, count, rows))
+    got = np.concatenate(chunks)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_haar_state_chunks_fill_a_larger_real_buffer():
+    real = np.full((50, 9), np.nan)
+    got = np.concatenate([c.copy() for _, c in haar_state_chunks(9, RngStream(33).generator(), 40, real)])
+    assert got.tobytes() == haar_state_batch(9, RngStream(33).generator(), 40).tobytes()
+    assert np.isnan(real[40:]).all()
+
+
+def _haar_sampler(gen, m):
+    return haar_state_batch(2, gen, m)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: mc_projector_moment(4, 1, 2, 0, RngStream(0)), "total must be positive"),
+        (lambda: mc_projector_moment(4, 1, 2, -5, RngStream(0)), "total must be positive"),
+        (lambda: mc_projector_moment(4, 1, -1, 100, RngStream(0)), "n must be non-negative"),
+        (lambda: mc_tensor_power_mean(_haar_sampler, 2, 0, RngStream(0)), "total must be positive"),
+        (lambda: mc_tensor_power_mean(_haar_sampler, -1, 100, RngStream(0)), "n must be non-negative"),
+        (lambda: mc_real_unit_moment(3, 2, 0, RngStream(0)), "total must be positive"),
+    ],
+)
+def test_estimators_refuse_empty_runs_and_negative_powers(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
