@@ -6,14 +6,17 @@ Vectorization is column-stacking throughout: vec(A) stacks the columns of A,
 so vec(AXB) = (B^T (x) A) vec(X) and a Kraus map sums conj(K) (x) K.
 
 The ``*_sym`` constructors return each channel on symmetric-subspace
-coordinates, written directly from multinomial amplitudes in the type basis
-(no d^n-sided object is built).  Those matrices are small (sym_dim-sided) and
-carry exactly the channel's action on symmetric inputs, which is the only
-region where the channel definitions are pinned; the identity verifiers run
-on them by default.  The plain constructors return the same channels on the
-full embedded space (d^n coordinates).  They, ``projection_superoperator``
-and ``compress_superoperator`` are the oracle: the tests compare the
-``*_sym`` channels against the compressed full-space ones, and
+coordinates (sym_dim-sided, exactly its action on symmetric inputs, where the
+channel definitions are pinned), densified by one scatter from a real entry
+list (out_flat, in_flat, value) of type-basis multinomial amplitudes; no
+d^n-sided object is built.  The identity verifiers run there by default and
+never densify: a composition joins one list's output index to the next one's
+input index, the weighted terms are summed by np.unique + bincount, and the
+residual is the norm of the summed entries, with no BLAS call.  The plain
+constructors return the same channels on the full embedded space (d^n
+coordinates).  They, ``projection_superoperator`` and
+``compress_superoperator`` are the oracle: the tests compare the ``*_sym``
+channels against the compressed full-space ones, and
 ``chiribella_sides(..., "full")`` checks the identity on the embedded space.
 """
 
@@ -206,23 +209,49 @@ def _type_split(d: int, p: int, q: int):
     return np.array(w_idx), np.array(a_idx), np.array(b_idx), np.array(amp)
 
 
-def _pairs_sharing(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All ordered pairs (i, j) of positions with key[i] == key[j]."""
-    order = np.argsort(key, kind="stable")
-    bounds = np.flatnonzero(np.diff(key[order])) + 1
-    left, right = [], []
-    for group in np.split(order, bounds):
-        left.append(np.repeat(group, group.size))
-        right.append(np.tile(group, group.size))
-    return np.concatenate(left), np.concatenate(right)
+def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All position pairs (p, q) with left[p] == right[q], grouped by p."""
+    order = np.argsort(right, kind="stable")
+    lo = np.searchsorted(right, left, "left", sorter=order)
+    counts = np.searchsorted(right, left, "right", sorter=order) - lo
+    p = np.repeat(np.arange(left.size), counts)
+    # the m-th pair of the run of p takes the (lo[p] + m)-th key of sorted right
+    return p, order[np.arange(p.size) + np.repeat(lo + counts - np.cumsum(counts), counts)]
 
 
-def _pair_superoperator(out_rows, out_cols, in_rows, in_cols, values, dout: int, din: int) -> np.ndarray:
-    """Superoperator matrix mapping |in_row><in_col| to values |out_row><out_col|
-    (column-stacked); no two entries may share an input and an output."""
+def _scatter(entries, dout: int, din: int) -> Superoperator:
+    """Densify an entry list by one scatter; an entry maps |in_row><in_col| to value
+    |out_row><out_col| at out_flat = out_row + out_col * dout, in_flat = in_row + in_col * din."""
+    out, inp, values = entries
     mat = np.zeros((dout * dout, din * din), dtype=complex)
-    mat[out_rows + out_cols * dout, in_rows + in_cols * din] = values
-    return mat
+    mat[out, inp] = values
+    return Superoperator(mat, (din,), (dout,))
+
+
+def _clone_entries(d: int, n: int, k: int):
+    din, dout = sym_dim(d, n), sym_dim(d, n + k)
+    _guard_superoperator(dout, din)
+    w, a, b, amp = _type_split(d, n, k)
+    i, j = _join(b, b)
+    return w[i] + w[j] * dout, a[i] + a[j] * din, din / dout * amp[i] * amp[j]
+
+
+def _mp_entries(d: int, n: int, k: int):
+    din, dout = sym_dim(d, n), sym_dim(d, k)
+    _guard_superoperator(dout, din)
+    w, a, b, amp = _type_split(d, n, k)
+    i, j = _join(w, w)
+    return b[j] + b[i] * dout, a[i] + a[j] * din, din / sym_dim(d, n + k) * amp[i] * amp[j]
+
+
+def _trace_entries(d: int, n: int, k: int):
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    din, dout = sym_dim(d, n), sym_dim(d, k)
+    _guard_superoperator(dout, din)
+    w, a, b, amp = _type_split(d, k, n - k)
+    i, j = _join(b, b)
+    return a[i] + a[j] * dout, w[i] + w[j] * din, amp[i] * amp[j]
 
 
 def clone_channel_sym(d: int, n: int, k: int) -> Superoperator:
@@ -231,26 +260,14 @@ def clone_channel_sym(d: int, n: int, k: int) -> Superoperator:
     Its Kraus operators depend only on the type b of the k added copies:
     K_b |t> = sqrt(c M(n,t) / M(n+k,t+b)) |t+b>, with multiplicity M(k,b).
     """
-    din, dout = sym_dim(d, n), sym_dim(d, n + k)
-    _guard_superoperator(dout, din)
-    w, a, b, amp = _type_split(d, n, k)
-    i, j = _pairs_sharing(b)
-    c = din / dout
-    mat = _pair_superoperator(w[i], w[j], a[i], a[j], c * amp[i] * amp[j], dout, din)
-    return Superoperator(mat, (din,), (dout,))
+    return _scatter(_clone_entries(d, n, k), sym_dim(d, n + k), sym_dim(d, n))
 
 
 def mp_channel_sym(d: int, n: int, k: int) -> Superoperator:
     """The optimal n -> k measure-and-prepare channel on symmetric coordinates:
     |t><t'| -> c sum_b sqrt(M(n,t) M(n,t') M(k,b) M(k,u)) / M(n+k,t+b) |u><b|
     with u = t + b - t' >= 0."""
-    din, dout = sym_dim(d, n), sym_dim(d, k)
-    _guard_superoperator(dout, din)
-    w, a, b, amp = _type_split(d, n, k)
-    i, j = _pairs_sharing(w)
-    c = din / sym_dim(d, n + k)
-    mat = _pair_superoperator(b[j], b[i], a[i], a[j], c * amp[i] * amp[j], dout, din)
-    return Superoperator(mat, (din,), (dout,))
+    return _scatter(_mp_entries(d, n, k), sym_dim(d, k), sym_dim(d, n))
 
 
 def trace_channel_sym(d: int, n: int, k: int) -> Superoperator:
@@ -259,14 +276,7 @@ def trace_channel_sym(d: int, n: int, k: int) -> Superoperator:
     Its Kraus operators depend only on the type v of the traced copies:
     K_v |t> = sqrt(M(k,t-v) / M(n,t)) |t-v>, with multiplicity M(n-k,v).
     """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    din, dout = sym_dim(d, n), sym_dim(d, k)
-    _guard_superoperator(dout, din)
-    w, a, b, amp = _type_split(d, k, n - k)
-    i, j = _pairs_sharing(b)
-    mat = _pair_superoperator(a[i], a[j], w[i], w[j], amp[i] * amp[j], dout, din)
-    return Superoperator(mat, (din,), (dout,))
+    return _scatter(_trace_entries(d, n, k), sym_dim(d, k), sym_dim(d, n))
 
 
 def compress_superoperator(s: Superoperator, d: int, n_in: int, n_out: int) -> Superoperator:
@@ -314,13 +324,37 @@ def chiribella_coefficient_identity(d: int, n: int, k: int, s: int) -> bool:
     return lhs == mp_clone_coefficient(d, n, k, s)
 
 
-def compose_sum(terms, shape: tuple[int, int]) -> np.ndarray:
-    """Sum of weight * compose(first, then).matrix over (weight, first, then)
-    terms, added into one buffer as each piece is built."""
-    acc = np.zeros(shape, dtype=complex)
-    for weight, first, then in terms:
-        acc += float(weight) * compose(first, then).matrix
-    return acc
+def _compose_entries(first, then):
+    """Entry list of then o first: first's output index joined to then's input index."""
+    p, q = _join(first[0], then[1])
+    return then[0][q], first[1][p], first[2][p] * then[2][q]
+
+
+def _sum_entries(terms, din: int):
+    """Sum of weight * entries over (weight, entries) terms, one entry per distinct index pair."""
+    keys = np.concatenate([out * din * din + inp for _, (out, inp, _) in terms])
+    values = np.concatenate([float(weight) * v for weight, (_, _, v) in terms])
+    keys, inverse = np.unique(keys, return_inverse=True)
+    return *np.divmod(keys, din * din), np.bincount(inverse, weights=values, minlength=keys.size)
+
+
+def _identity_sides(lhs, terms, dout: int, din: int):
+    """Dense matrices of lhs and of sum_s weight_s term_s."""
+    return _scatter(lhs, dout, din).matrix, _scatter(_sum_entries(terms, din), dout, din).matrix
+
+
+def _identity_residual(lhs, terms, dout: int, din: int) -> float:
+    """Frobenius norm of lhs - sum_s weight_s term_s, from the summed entries (no BLAS call)."""
+    values = _sum_entries([(1, lhs)] + [(-w, e) for w, e in terms], din)[2]
+    return float(np.sqrt(np.square(values).sum()))
+
+
+def _chiribella_entries(d: int, n: int, k: int):
+    """MP_{n->k}, the terms M_{k,s} clone_{s->k} o tr_{n-s} as entry lists, and the two sides."""
+    lhs = _mp_entries(d, n, k)
+    terms = [(mp_clone_coefficient(d, n, k, s), _compose_entries(_trace_entries(d, n, s), _clone_entries(d, s, k - s)))
+             for s in range(min(n, k) + 1)]
+    return lhs, terms, sym_dim(d, k), sym_dim(d, n)
 
 
 def chiribella_sides(d: int, n: int, k: int, representation: str = "sym"):
@@ -328,24 +362,20 @@ def chiribella_sides(d: int, n: int, k: int, representation: str = "sym"):
     MP_{n->k} = sum_s M_{k,s} clone_{s->k} o tr_{n-s} as superoperator matrices,
     restricted to symmetric inputs.
 
-    representation: "sym" (symmetric coordinates) or "full", the oracle on the
-    embedded space, where both sides are right-multiplied once by the
-    symmetric-input projection (composition is linear, so this equals
-    projecting every piece).
+    representation: "sym" (symmetric coordinates, from summed entry lists) or
+    "full", the oracle on the embedded space, where the dense compositions are
+    summed and both sides are right-multiplied once by the symmetric-input
+    projection (composition is linear, so this equals projecting every piece).
     """
     if representation == "sym":
-        mp, trace, clone = mp_channel_sym, trace_channel_sym, clone_channel_sym
-    elif representation == "full":
-        mp, trace, clone = mp_channel, trace_channel, clone_channel
-    else:
+        return _identity_sides(*_chiribella_entries(d, n, k))
+    if representation != "full":
         raise ValueError(f"unknown representation {representation!r}")
-    lhs = mp(d, n, k).matrix
-    terms = ((mp_clone_coefficient(d, n, k, s), trace(d, n, s), clone(d, s, k - s)) for s in range(min(n, k) + 1))
-    rhs = compose_sum(terms, lhs.shape)
-    if representation == "full":
-        proj = projection_superoperator(d, n).matrix
-        lhs, rhs = lhs @ proj, rhs @ proj
-    return lhs, rhs
+    lhs = mp_channel(d, n, k).matrix
+    rhs = sum(float(mp_clone_coefficient(d, n, k, s)) * compose(trace_channel(d, n, s), clone_channel(d, s, k - s)).matrix
+              for s in range(min(n, k) + 1))
+    proj = projection_superoperator(d, n).matrix
+    return lhs @ proj, rhs @ proj
 
 
 def verify_chiribella(d: int, n: int, k: int, representation: str = "sym") -> float:
@@ -354,5 +384,7 @@ def verify_chiribella(d: int, n: int, k: int, representation: str = "sym") -> fl
     for s in range(k + 1):
         if not chiribella_coefficient_identity(d, n, k, s):
             raise ArithmeticError(f"exact coefficient identity fails at (d,n,k,s)=({d},{n},{k},{s})")
+    if representation == "sym":
+        return _identity_residual(*_chiribella_entries(d, n, k))
     lhs, rhs = chiribella_sides(d, n, k, representation)
     return float(np.linalg.norm(lhs - rhs))

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING
 
-from .exactcomb import binomial, mp_clone_coefficient
+from .exactcomb import binomial, mp_clone_coefficient, sym_dim
 
 if TYPE_CHECKING:
     import numpy as np
@@ -185,27 +185,33 @@ def check_coefficient_bounds(c: DeFinettiCoefficients) -> CoefficientBoundsRepor
     )
 
 
+def _exp_definetti_entries(d: int, n: int, k: int):
+    """tr_{n-k}, the terms x_s clone_{k-s->k} o MP_{n->k-s} as entry lists, and the two sides."""
+    from .channels import _clone_entries, _compose_entries, _mp_entries, _trace_entries
+
+    lhs = _trace_entries(d, n, k)
+    coeffs = exp_definetti_full_coefficients(d, n, k)
+    terms = [(xs, _compose_entries(_mp_entries(d, n, k - s), _clone_entries(d, k - s, s))) for s, xs in enumerate(coeffs)]
+    return lhs, terms, sym_dim(d, k), sym_dim(d, n)
+
+
 def exp_definetti_sides(d: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """tr_{n-k} and sum_s x_s clone_{k-s->k} o MP_{n->k-s} on symmetric
     coordinates, as superoperator matrices."""
-    from .channels import clone_channel_sym, compose_sum, mp_channel_sym, trace_channel_sym
+    from .channels import _identity_sides
 
-    lhs = trace_channel_sym(d, n, k).matrix
-    coeffs = exp_definetti_full_coefficients(d, n, k)
-    terms = ((xs, mp_channel_sym(d, n, k - s), clone_channel_sym(d, k - s, s)) for s, xs in enumerate(coeffs))
-    return lhs, compose_sum(terms, lhs.shape)
+    return _identity_sides(*_exp_definetti_entries(d, n, k))
 
 
 def verify_exp_definetti(d: int, n: int, k: int) -> float:
-    """Frobenius residual of the exact inversion identity at r = k.
+    """Frobenius residual of the exact inversion identity at r = k, from the summed entry lists.
 
     The identity is pure linear algebra in the channel coefficients, so it
     holds for every k <= n, including delta >= 1.
     """
-    import numpy as np
+    from .channels import _identity_residual
 
-    lhs, rhs = exp_definetti_sides(d, n, k)
-    return float(np.linalg.norm(lhs - rhs))
+    return _identity_residual(*_exp_definetti_entries(d, n, k))
 
 
 def mp_remainder_channel_sym(d: int, n: int, k: int) -> tuple[Fraction, Superoperator]:

@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .exactcomb import conjugation_fixed_dimension  # noqa: F401  re-exported
-from .exactcomb import enumerate_types, multinomial, sym_dim
+from .exactcomb import binomial, multinomial, sym_dim
 from .guards import guard_dimension, guard_matchings, guard_permutations
 
 
@@ -236,21 +236,21 @@ def sym_projector_enumerated(d: int, n: int) -> Operator:
 @lru_cache(maxsize=None)
 def _type_isometry_matrix(d: int, n: int) -> np.ndarray:
     guard_dimension(d**n)
-    types = enumerate_types(d, n)
-    col_of = {t.entries: c for c, t in enumerate(types)}
-    dim = d**n
+    dim, strings = d**n, np.arange(d**n)
+    counts = np.zeros((dim, d), dtype=np.int64)  # counts[x, a]: letters a in string x
+    for m in range(n):
+        counts[strings, strings // d**m % d] += 1
+    # column of each string's type in enumerate_types order: at slot i the types sharing
+    # the prefix with more letters there come first, C(d-i-2+g, g-1) of them (g left after i)
+    cols, left = np.zeros(dim, dtype=np.int64), np.full(dim, n)
+    for i in range(d - 1):
+        left -= counts[:, i]
+        cols += np.array([binomial(d - i - 2 + g, g - 1) for g in range(n + 1)])[left]
+    types = np.zeros((sym_dim(d, n), d), dtype=np.int64)
+    types[cols] = counts
+    norms = np.array([1.0 / np.sqrt(multinomial(n, t)) for t in types.tolist()])
     mat = np.zeros((dim, len(types)), dtype=complex)
-    if n == 0:
-        mat[0, 0] = 1.0
-    else:
-        digits = _index_digits(d, n)
-        counts = np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
-        seen, inverse = np.unique(counts, axis=0, return_inverse=True)
-        seen_types = [tuple(row) for row in seen.tolist()]
-        cols = np.array([col_of[t] for t in seen_types])
-        norms = np.array([1.0 / np.sqrt(multinomial(n, t)) for t in seen_types])
-        rows_type = inverse.reshape(-1)
-        mat[np.arange(dim), cols[rows_type]] = norms[rows_type]
+    mat[strings, cols] = norms[cols]
     mat.setflags(write=False)
     return mat
 

@@ -234,7 +234,7 @@ def _type_isometry_by_rows(d, n):
     return mat
 
 
-@pytest.mark.parametrize("d,n", [(2, 10), (3, 6), (64, 2)])
+@pytest.mark.parametrize("d,n", [(2, 10), (3, 6), (64, 2), (1, 5), (1, 0), (3, 0), (5, 3)])
 def test_type_isometry_matches_row_loop(d, n):
     from symsub.tensorspace import _type_isometry_matrix
 
