@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import prod, sqrt
 
 import numpy as np
 
 from .exactcomb import binomial, enumerate_types, mp_clone_coefficient, multinomial, sym_dim
 from .guards import guard_dimension
-from .tensorspace import Operator, _sym_projector_matrix, _type_isometry_matrix, copy_dims
+from .tensorspace import Operator, _type_isometry_matrix, copy_dims, sym_projector_group
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -129,7 +130,7 @@ def _guard_superoperator(out_dim: int, in_dim: int) -> None:
 def projection_superoperator(d: int, n: int) -> Superoperator:
     """rho -> Pi_sym rho Pi_sym on the full n-copy space."""
     _guard_superoperator(d**n, d**n)
-    pi = _sym_projector_matrix(d, n)
+    pi = sym_projector_group(d, n).entries
     return Superoperator(np.kron(pi.T, pi), copy_dims(d, n), copy_dims(d, n))
 
 
@@ -140,9 +141,8 @@ def projection_superoperator(d: int, n: int) -> Superoperator:
 def clone_channel(d: int, n: int, k: int) -> Superoperator:
     """Optimal n -> n+k cloner: rho -> c Pi (rho (x) I^k) Pi with
     c = sym_dim(d,n)/sym_dim(d,n+k); trace preserving on symmetric inputs."""
-    guard_dimension(d ** (n + k))
     _guard_superoperator(d ** (n + k), d**n)
-    pi = _sym_projector_matrix(d, n + k)
+    pi = sym_projector_group(d, n + k).entries
     c = Fraction(sym_dim(d, n), sym_dim(d, n + k))
     dk = d**k
     root = np.sqrt(float(c))
@@ -156,9 +156,8 @@ def mp_channel(d: int, n: int, k: int) -> Superoperator:
     of the defining formula (the sandwiched variant is a different channel:
     it is the k-copy marginal of the cloner, with strictly larger fidelity).
     """
-    guard_dimension(d ** (n + k))
     _guard_superoperator(d**k, d**n)
-    pi = _sym_projector_matrix(d, n + k)
+    pi = sym_projector_group(d, n + k).entries
     c = float(Fraction(sym_dim(d, n), sym_dim(d, n + k)))
     dn, dk = d**n, d**k
     tensor = pi.reshape(dn, dk, dn, dk)
@@ -172,7 +171,6 @@ def trace_channel(d: int, n: int, k: int) -> Superoperator:
     """Keep the first k of n subsystems, trace out the last n-k."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    guard_dimension(d**n)
     _guard_superoperator(d**k, d**n)
     dr, eye = d ** (n - k), np.eye(d**n)
     kraus = [eye[b::dr] for b in range(dr)]  # I (x) <b|
@@ -331,11 +329,15 @@ def _compose_entries(first, then):
 
 
 def _sum_entries(terms, din: int):
-    """Sum of weight * entries over (weight, entries) terms, one entry per distinct index pair."""
-    keys = np.concatenate([out * din * din + inp for _, (out, inp, _) in terms])
-    values = np.concatenate([float(weight) * v for weight, (_, _, v) in terms])
-    keys, inverse = np.unique(keys, return_inverse=True)
-    return *np.divmod(keys, din * din), np.bincount(inverse, weights=values, minlength=keys.size)
+    """Sum of weight * entries over (weight, entries) terms, one entry per distinct index pair.
+
+    Terms are folded in one at a time, so only the running sum and one term are held;
+    bincount adds in reading order, so the sums equal one pass over all the terms."""
+    keys, values = np.empty(0, dtype=np.int64), np.empty(0)
+    for weight, (out, inp, v) in terms:
+        keys, inverse = np.unique(np.concatenate([keys, out * din * din + inp]), return_inverse=True)
+        values = np.bincount(inverse, weights=np.concatenate([values, float(weight) * v]), minlength=keys.size)
+    return *np.divmod(keys, din * din), values
 
 
 def _identity_sides(lhs, terms, dout: int, din: int):
@@ -345,15 +347,16 @@ def _identity_sides(lhs, terms, dout: int, din: int):
 
 def _identity_residual(lhs, terms, dout: int, din: int) -> float:
     """Frobenius norm of lhs - sum_s weight_s term_s, from the summed entries (no BLAS call)."""
-    values = _sum_entries([(1, lhs)] + [(-w, e) for w, e in terms], din)[2]
+    values = _sum_entries(chain([(1, lhs)], ((-w, e) for w, e in terms)), din)[2]
     return float(np.sqrt(np.square(values).sum()))
 
 
 def _chiribella_entries(d: int, n: int, k: int):
-    """MP_{n->k}, the terms M_{k,s} clone_{s->k} o tr_{n-s} as entry lists, and the two sides."""
+    """MP_{n->k}, a generator of the terms M_{k,s} clone_{s->k} o tr_{n-s} as entry lists,
+    and the two sides."""
     lhs = _mp_entries(d, n, k)
-    terms = [(mp_clone_coefficient(d, n, k, s), _compose_entries(_trace_entries(d, n, s), _clone_entries(d, s, k - s)))
-             for s in range(min(n, k) + 1)]
+    terms = ((mp_clone_coefficient(d, n, k, s), _compose_entries(_trace_entries(d, n, s), _clone_entries(d, s, k - s)))
+             for s in range(min(n, k) + 1))
     return lhs, terms, sym_dim(d, k), sym_dim(d, n)
 
 

@@ -12,7 +12,7 @@ from math import exp, inf, log, prod
 from typing import TYPE_CHECKING
 
 from .exactcomb import sym_dim
-from .guards import guard_dimension
+from .guards import guard_dimension, guard_power_bits
 
 if TYPE_CHECKING:
     from .randomness import RngStream
@@ -203,6 +203,7 @@ def tail_bound_term(part: MultiPartition, rank: int, gamma: Fraction, n: int) ->
         raise ValueError("gamma must be positive")
     if not 1 <= rank <= part.total:
         raise ValueError("need 1 <= rank <= prod(dims)")
+    guard_power_bits(g, n)
     num = sym_dim(rank, n)
     for d in part.dims:
         num *= sym_dim(d, n)
@@ -406,7 +407,8 @@ def experiment_product_free(
     if met:
         for t in range(trials):
             proj = random_projector(part.total, rank, stream.split(t))
-            overlaps.append(nu_max(proj, part, restarts=restarts, stream=stream.split(10_000 + t)))
+            # restart streams start past every projector stream, so none is drawn twice
+            overlaps.append(nu_max(proj, part, restarts=restarts, stream=stream.split(max(trials, 10_000) + t)))
     return ProductFreeReport(
         dims=part.dims, rank=rank, threshold_met=met, trials=trials if met else 0,
         overlaps=tuple(overlaps), max_overlap=max(overlaps) if overlaps else 0.0,

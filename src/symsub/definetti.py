@@ -186,12 +186,13 @@ def check_coefficient_bounds(c: DeFinettiCoefficients) -> CoefficientBoundsRepor
 
 
 def _exp_definetti_entries(d: int, n: int, k: int):
-    """tr_{n-k}, the terms x_s clone_{k-s->k} o MP_{n->k-s} as entry lists, and the two sides."""
+    """tr_{n-k}, a generator of the terms x_s clone_{k-s->k} o MP_{n->k-s} as entry lists,
+    and the two sides."""
     from .channels import _clone_entries, _compose_entries, _mp_entries, _trace_entries
 
     lhs = _trace_entries(d, n, k)
     coeffs = exp_definetti_full_coefficients(d, n, k)
-    terms = [(xs, _compose_entries(_mp_entries(d, n, k - s), _clone_entries(d, k - s, s))) for s, xs in enumerate(coeffs)]
+    terms = ((xs, _compose_entries(_mp_entries(d, n, k - s), _clone_entries(d, k - s, s))) for s, xs in enumerate(coeffs))
     return lhs, terms, sym_dim(d, k), sym_dim(d, n)
 
 

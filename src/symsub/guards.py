@@ -1,13 +1,15 @@
-"""Size caps shared by every module that materializes dense objects."""
+"""Size caps shared by every module that materializes dense objects or large exact powers."""
 
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 
 DEFAULT_MAX_DIM = 2**14
 PERMUTATION_ENUMERATION_CAP = 9  # largest n for which all of S_n is listed
 PARTITION_COUNT_CAP = 10**6      # most partitions of n that are listed
 MATCHING_ENUMERATION_CAP = 6     # largest n for which matchings of [2n] are listed
+POWER_BITS_CAP = 2**26           # most bits, n * max(bit_length), of an exact power x^n
 
 _max_dim_override: int | None = None
 
@@ -77,4 +79,15 @@ def guard_matchings(n: int) -> None:
         raise DimensionGuardError(
             f"refusing to enumerate perfect matchings of [2*{n}] "
             f"((2n-1)!! elements; cap n <= {MATCHING_ENUMERATION_CAP})"
+        )
+
+
+def guard_power_bits(x: Fraction, n: int) -> None:
+    """Refuse the exact power x^n when n times the longer of x's numerator and
+    denominator exceeds POWER_BITS_CAP bits."""
+    bits = n * max(x.numerator.bit_length(), x.denominator.bit_length())
+    if bits > POWER_BITS_CAP:
+        raise DimensionGuardError(
+            f"refusing to compute an exact power of about {bits} bits "
+            f"(exponent {n}; cap {POWER_BITS_CAP} bits)"
         )

@@ -16,7 +16,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations as iter_permutations
 from math import factorial, prod
 from typing import Iterable
@@ -56,9 +55,6 @@ class Operator:
     @property
     def col_dim(self) -> int:
         return prod(self.col_dims)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T, self.col_dims, self.row_dims)
 
     def trace(self) -> complex:
         if self.row_dims != self.col_dims:
@@ -120,12 +116,6 @@ class Permutation:
             raise ValueError("size mismatch")
         return Permutation(tuple(self.images[other.images[i]] for i in range(self.n)))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Permutation(tuple(inv))
-
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(n)))
@@ -147,7 +137,6 @@ def _index_grid(d: int, n: int) -> np.ndarray:
     return np.arange(d**n).reshape((d,) * n)
 
 
-@lru_cache(maxsize=None)
 def _index_digits(d: int, n: int) -> np.ndarray:
     """(d**n, n) array of big-endian base-d digits of 0..d**n-1; read-only."""
     digits = np.indices((d,) * n).reshape(n, d**n).T
@@ -204,21 +193,14 @@ def _symmetrizer_int(d: int, n: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
-def _sym_projector_matrix(d: int, n: int) -> np.ndarray:
+def sym_projector_group(d: int, n: int) -> Operator:
+    """Group-average projector (1/n!) sum_pi P(pi) onto the symmetric subspace."""
     guard_dimension(d**n)
     if n == 0 or d == 1:
         mat = np.ones((1, 1), dtype=complex)
     else:
         mat = _symmetrizer_int(d, n).astype(complex) / factorial(n)
-    mat.setflags(write=False)
-    return mat
-
-
-def sym_projector_group(d: int, n: int) -> Operator:
-    """Group-average projector (1/n!) sum_pi P(pi) onto the symmetric subspace."""
-    guard_dimension(d**n)  # re-checked here: the cached builder may be warm
-    return Operator(_sym_projector_matrix(d, n), copy_dims(d, n), copy_dims(d, n))
+    return Operator(mat, copy_dims(d, n), copy_dims(d, n))
 
 
 def sym_projector_enumerated(d: int, n: int) -> Operator:
@@ -233,7 +215,6 @@ def sym_projector_enumerated(d: int, n: int) -> Operator:
     return Operator(acc / factorial(n), copy_dims(d, n), copy_dims(d, n))
 
 
-@lru_cache(maxsize=None)
 def _type_isometry_matrix(d: int, n: int) -> np.ndarray:
     guard_dimension(d**n)
     dim, strings = d**n, np.arange(d**n)
@@ -251,7 +232,6 @@ def _type_isometry_matrix(d: int, n: int) -> np.ndarray:
     norms = np.array([1.0 / np.sqrt(multinomial(n, t)) for t in types.tolist()])
     mat = np.zeros((dim, len(types)), dtype=complex)
     mat[strings, cols] = norms[cols]
-    mat.setflags(write=False)
     return mat
 
 
@@ -262,7 +242,6 @@ def type_isometry(d: int, n: int) -> Operator:
     coordinates and V V^dag is the symmetric projector.  Note the normalization
     is 1/sqrt(multinomial) per string so each column has unit norm.
     """
-    guard_dimension(d**n)  # re-checked here: the cached builder may be warm
     return Operator(_type_isometry_matrix(d, n), copy_dims(d, n), (sym_dim(d, n),))
 
 

@@ -317,3 +317,37 @@ def test_tail_bound_rejects_rank_outside_one_to_total():
         tail_bound(PART22, 9, 1, n_max=3)
     # rank = D is allowed: the rank and total factors cancel
     assert tail_bound_term(PART22, 4, Fraction(1), 3) == sym_dim(2, 3) ** 2
+
+
+def test_tail_bound_term_refuses_an_oversized_power():
+    import time
+
+    from symsub.guards import DimensionGuardError
+
+    start = time.perf_counter()
+    with pytest.raises(DimensionGuardError):
+        smooth_gap_bound(5, 1)  # n = 5^12: gamma^n would have about 7e9 bits
+    assert time.perf_counter() - start < 1.0
+
+
+def test_product_free_restart_streams_miss_the_projector_streams(monkeypatch):
+    import symsub.concentration as concentration
+    import symsub.randomness as randomness
+
+    projector_streams, restart_streams = [], []
+
+    def fake_projector(dim, rank, stream):
+        projector_streams.append(stream)
+        return None
+
+    def fake_nu_max(proj, part, restarts, stream):
+        restart_streams.append(stream)
+        return 0.0
+
+    monkeypatch.setattr(randomness, "random_projector", fake_projector)
+    monkeypatch.setattr(concentration, "nu_max", fake_nu_max)
+    trials = 10_001
+    report = experiment_product_free(MultiPartition((2, 3)), 1, 2, RngStream(5), trials=trials)
+    assert report.trials == trials
+    assert len(set(projector_streams)) == len(set(restart_streams)) == trials
+    assert not set(projector_streams) & set(restart_streams)

@@ -163,3 +163,15 @@ def test_cli_verifies_beyond_dense_reach(capsys, argv):
     code = main(argv)
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["verdict"] == "pass"
+
+
+def test_chiribella_sums_one_term_at_a_time():
+    # holding every composed term at once peaked near 89 MiB at (3, 10, 10)
+    tracemalloc.start()
+    try:
+        residual = verify_chiribella(3, 10, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-10
+    assert peak < 48 * 2**20

@@ -284,3 +284,28 @@ def test_tensor_power_span_rank_at_n0():
     assert np.array_equal(_tensor_power_rows(v, 1), v)
     for d in (1, 2, 3):
         assert tensor_power_span_rank(d, 0, 6, RngStream(3)) == 1
+
+
+def test_dense_builders_hold_nothing_after_release():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        iso = type_isometry(64, 2)  # 4096 x 2080 complex, 130 MiB
+        proj = sym_projector_group(2, 10)  # 1024 x 1024 complex, 16 MiB
+        assert iso.entries.nbytes + proj.entries.nbytes > 100 * 2**20
+        del iso, proj
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 2**20
+
+
+@pytest.mark.parametrize("build", [sym_projector_group, type_isometry])
+def test_dense_builder_results_are_private(build):
+    first = build(3, 3)
+    expected = first.entries.copy()
+    assert first.entries.flags.writeable
+    first.entries[:] = 7.0
+    assert np.array_equal(build(3, 3).entries, expected)
