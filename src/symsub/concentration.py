@@ -119,10 +119,13 @@ def nu_max(
     """Best overlap max tr[P (phi_1 x ... x phi_k)] over product states.
 
     Alternating eigenvector ascent (a lower bound in general): hold all but
-    one party fixed, replace that party's vector by the top eigenvector of the
-    contracted matrix, sweep until converged; best over random restarts.  For
-    two parties and a rank-one PSD operator the exact value is returned via
-    the Schmidt decomposition.
+    one party fixed, replace that party's vector by the top eigenvector of its
+    environment, sweep until converged; best over random restarts, all run as
+    one batch.  Party j's environment, P contracted with the other parties'
+    vectors, is two matrix products: the Kronecker product w of those vectors
+    (one row per restart) times P viewed with the other parties' column axes
+    as rows, then w's conjugate times that.  For two parties and a rank-one
+    PSD operator the exact value is returned via the Schmidt decomposition.
     """
     import numpy as np
 
@@ -150,23 +153,14 @@ def nu_max(
         v = draws[:, o : o + d] + 1j * draws[:, o + d : o + 2 * d]
         vectors.append(v / np.linalg.norm(v, axis=1, keepdims=True))
 
-    # environment of party j: P contracted with every other party's vector,
-    # one restart per index of the batch letter; each order is planned once
-    row_letters = [chr(ord("a") + i) for i in range(k)]
-    col_letters = [chr(ord("A") + i) for i in range(k)]
-    batch = chr(ord("a") + k)
-    base = "".join(row_letters) + "".join(col_letters)
-    others = [[i for i in range(k) if i != j] for j in range(k)]
-    scripts = [
-        ",".join([base] + [batch + row_letters[i] + "," + batch + col_letters[i] for i in others[j]])
-        + "->" + batch + row_letters[j] + col_letters[j]
-        for j in range(k)
+    # views[j]: rows are the other parties' column axes, columns are (row j,
+    # other rows, column j); the restart axis leads w, so BLAS does the D^2
+    # product (a restart-last layout or one unplanned einsum is far slower)
+    rests = [[i for i in range(k) if i != j] for j in range(k)]
+    views = [
+        tensor.transpose([*(k + i for i in rest), j, *rest, k + j]).reshape(part.total // dims[j], -1)
+        for j, rest in enumerate(rests)
     ]
-
-    def operands(j, rows):
-        return [w for i in others[j] for w in (vectors[i][rows].conj(), vectors[i][rows])]
-
-    paths = [np.einsum_path(scripts[j], tensor, *operands(j, slice(None)), optimize=True)[0] for j in range(k)]
 
     # alternating ascent; a restart leaves `active` at the sweep that gains <= tol
     values = np.full(restarts, -np.inf)
@@ -174,7 +168,10 @@ def nu_max(
     for _ in range(iters):
         previous = values[active]
         for j in range(k):
-            env = np.einsum(scripts[j], tensor, *operands(j, active), optimize=paths[j])
+            w = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(a), -1),
+                       (vectors[i][active] for i in rests[j]))
+            half = (w @ views[j]).reshape(active.size, dims[j], -1, dims[j])
+            env = (w.conj()[:, None, None, :] @ half)[:, :, 0, :]
             evals, evecs = np.linalg.eigh((env + env.conj().swapaxes(1, 2)) / 2.0)
             vectors[j][active] = evecs[:, :, -1]
             values[active] = evals[:, -1]

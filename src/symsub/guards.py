@@ -7,7 +7,7 @@ from fractions import Fraction
 
 DEFAULT_MAX_DIM = 2**14
 PERMUTATION_ENUMERATION_CAP = 9  # largest n for which all of S_n is listed
-PARTITION_COUNT_CAP = 10**6      # most partitions of n that are listed
+PARTITION_ENUMERATION_CAP = 60   # largest n whose partitions are listed: p(60) <= 10**6 < p(61)
 MATCHING_ENUMERATION_CAP = 6     # largest n for which matchings of [2n] are listed
 POWER_BITS_CAP = 2**26           # most bits, n * max(bit_length), of an exact power x^n
 
@@ -23,9 +23,15 @@ def max_dim() -> int:
     if _max_dim_override is not None:
         return _max_dim_override
     env = os.environ.get("SYMSUB_MAX_DIM")
-    if env:
-        return int(env)
-    return DEFAULT_MAX_DIM
+    if not env:
+        return DEFAULT_MAX_DIM
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"SYMSUB_MAX_DIM must be a positive integer, got {env!r}")
+    return value
 
 
 def set_max_dim(value: int | None) -> None:
@@ -52,26 +58,11 @@ def guard_permutations(n: int) -> None:
 
 
 def guard_partitions(n: int) -> None:
-    """Refuse n whose partition count p(n) exceeds PARTITION_COUNT_CAP.
-
-    Counts p(0), p(1), ... by Euler's pentagonal recurrence and stops at the
-    first count above the cap (p never decreases), so even a huge n is
-    refused at once."""
-    counts = [1]
-    for m in range(1, n + 1):
-        value, k = 0, 1
-        while (pent := k * (3 * k - 1) // 2) <= m:
-            sign = 1 if k % 2 else -1
-            value += sign * counts[m - pent]
-            if pent + k <= m:
-                value += sign * counts[m - pent - k]
-            k += 1
-        if value > PARTITION_COUNT_CAP:
-            raise DimensionGuardError(
-                f"refusing to enumerate the partitions of {n} "
-                f"(more than the cap {PARTITION_COUNT_CAP}: p({m}) = {value})"
-            )
-        counts.append(value)
+    if n > PARTITION_ENUMERATION_CAP:
+        raise DimensionGuardError(
+            f"refusing to enumerate the partitions of {n} "
+            f"(more than 10**6 of them; cap n <= {PARTITION_ENUMERATION_CAP})"
+        )
 
 
 def guard_matchings(n: int) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .exactcomb import conjugation_fixed_dimension  # noqa: F401  re-exported
 from .exactcomb import binomial, multinomial, sym_dim
-from .guards import guard_dimension, guard_matchings, guard_permutations
+from .guards import DimensionGuardError, guard_dimension, guard_matchings, guard_permutations
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def _symmetrizer_int(d: int, n: int) -> np.ndarray:
     is handled by the caller and n > 20 refused outright.
     """
     if n > 20:
-        raise ValueError("symmetrizer entries would overflow int64 beyond n = 20")
+        raise DimensionGuardError("symmetrizer entries would overflow int64 beyond n = 20")
     dtype = np.int32 if factorial(n) <= np.iinfo(np.int32).max else np.int64
     mat = np.eye(d, dtype=dtype)
     for m in range(2, n + 1):

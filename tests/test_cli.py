@@ -301,3 +301,19 @@ def test_definetti_coeffs_large_case_pinned(capsys):
         "/75738151782950200600710534949465215796564792496141056412036005761198449186419955347737599022616386975",
         "", "n/a",
     ]
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+def test_bad_max_dim_env_var_exits_2_naming_it(capsys, monkeypatch, value):
+    # a cap the variable cannot hold is bad input, not a guard refusal at "cap 0"
+    monkeypatch.setenv("SYMSUB_MAX_DIM", value)
+    code, out, err = _run(capsys, ["verify", "psym", "--d", "2", "--n", "2"])
+    assert code == 2 and out == ""
+    assert err == f"symsub: error: SYMSUB_MAX_DIM must be a positive integer, got {value!r}\n"
+
+
+def test_symmetrizer_beyond_int64_is_a_size_refusal(capsys):
+    # 2^21 passes a raised side cap, but n = 21 symmetrizer entries overflow int64
+    code, out, err = _run(capsys, ["--max-dim", "3000000", "verify", "psym", "--d", "2", "--n", "21"])
+    assert code == 3 and out == ""
+    assert err == "dimension guard: symmetrizer entries would overflow int64 beyond n = 20\n"

@@ -3,6 +3,8 @@ and lists its params in the declared order; params report what ran (the
 representation, the default inversion steps)."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -99,3 +101,13 @@ def test_tol_scale_scales_every_residual_tolerance(capsys):
     _, scaled = _json_run(capsys, ["--tol-scale", "4", "verify", "psym", "--d", "2", "--n", "2"])
     for a, b in zip(base["checks"], scaled["checks"]):
         assert float(b["tolerance"]) == 4 * float(a["tolerance"])
+
+
+def test_readme_command_block_has_one_parsing_line_per_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = next(b for b in readme.split("```")[1::2] if b.startswith("\nsymsub "))
+    lines = block.strip().splitlines()
+    assert all(line.startswith("symsub ") for line in lines)
+    parser = cli.build_parser()
+    paths = [parser.parse_args(shlex.split(line)[1:]).spec.path for line in lines]
+    assert sorted(paths) == sorted(spec.path for spec in cli._COMMANDS)

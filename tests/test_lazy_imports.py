@@ -19,7 +19,7 @@ import pytest
 import symsub
 from symsub import exactcomb, tensorspace
 from symsub.cli import main
-from symsub.guards import DimensionGuardError
+from symsub.guards import PARTITION_ENUMERATION_CAP, DimensionGuardError, guard_partitions
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(symsub.__file__)))
 
@@ -181,6 +181,15 @@ def test_commutant_dimension_beyond_the_permutation_cap():
         exactcomb.conjugation_fixed_dimension(2, 61)
     with pytest.raises(DimensionGuardError, match="partitions of 1000000000"):
         exactcomb.conjugation_fixed_dimension(2, 10**9)
+
+
+def test_partition_cap_is_the_largest_n_with_at_most_a_million_partitions():
+    counts = [1] + [0] * (PARTITION_ENUMERATION_CAP + 1)
+    for part in range(1, len(counts)):
+        for m in range(part, len(counts)):
+            counts[m] += counts[m - part]
+    assert counts[PARTITION_ENUMERATION_CAP] <= 10**6 < counts[PARTITION_ENUMERATION_CAP + 1]
+    guard_partitions(PARTITION_ENUMERATION_CAP)  # admitted; 61 is refused above
 
 
 def test_commutant_command_above_n9_and_partition_guard(capsys):
