@@ -311,14 +311,14 @@ def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStr
     largest squared Schmidt coefficient against the bound
     Pr[lambda_max >= (16/(e d)) e^eps] <= e^(-d eps).
 
-    The states stream through ``haar_state_chunks``: the memory held is one
-    block of real parts, 8 min(BLOCK_SIZE, samples) d^2 bytes, plus one chunk
-    (about 3.5 ``CHUNK_BYTES``), and the report is bit-identical to SVDs of
-    whole ``haar_state_batch`` blocks.
+    The states stream through ``haar_state_chunks``: the memory held is a few
+    chunks (about four ``CHUNK_BYTES`` with the real-part scratch buffer) plus
+    8 min(BLOCK_SIZE, samples) bytes of lambda_max values, whatever d, and the
+    report is bit-identical to SVDs of whole ``haar_state_batch`` blocks.
     """
     import numpy as np
 
-    from .randomness import BLOCK_SIZE, _blocks, haar_state_chunks
+    from .randomness import BLOCK_SIZE, _blocks, chunk_rows, haar_state_chunks
 
     if d < 1:
         raise ValueError("d must be positive")
@@ -331,9 +331,8 @@ def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStr
         threshold = 16.0 / (np.e * d) * exp(epsilon)
     except OverflowError:  # no squared Schmidt coefficient (at most 1) reaches it
         threshold = inf
-    rows = min(BLOCK_SIZE, samples)
-    real = np.empty((rows, d * d))
-    lam = np.empty(rows)
+    real = np.empty((min(chunk_rows(d * d), samples), d * d))
+    lam = np.empty(min(BLOCK_SIZE, samples))
     exceed = 0
     top_sum = 0.0
     for block, size in _blocks(samples):

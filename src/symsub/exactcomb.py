@@ -133,6 +133,20 @@ def mp_clone_coefficient(d: int, n: int, k: int, s: int) -> Fraction:
     return Fraction(binomial(n, s) * binomial(d + k - 1, k - s), binomial(d + n + k - 1, k))
 
 
+def _mp_clone_weights(d: int, n: int, k: int) -> list[int]:
+    """The integer weights a_s = C(n,s) C(d+k-1,k-s), s = 0..k."""
+    return [binomial(n, s) * binomial(d + k - 1, k - s) for s in range(k + 1)]
+
+
+def _homogeneous_sum(weights: list[int], p: int, q: int) -> int:
+    """sum_s weights[s] p^s q^(k-s) by integer Horner, k = len(weights) - 1."""
+    acc, power = 0, 1
+    for w in weights:
+        acc = acc * q + w * power
+        power *= p
+    return acc
+
+
 def mp_clone_polynomial(d: int, n: int, k: int, x: Fraction | int) -> Fraction:
     """Evaluate sum_s mp_clone_coefficient(d,n,k,s) * x**s exactly.
 
@@ -144,27 +158,22 @@ def mp_clone_polynomial(d: int, n: int, k: int, x: Fraction | int) -> Fraction:
         return Fraction(0)
     xf = Fraction(x)
     p, q = xf.numerator, xf.denominator
-    acc, power = 0, 1
-    for s in range(k + 1):
-        acc = acc * q + binomial(n, s) * binomial(d + k - 1, k - s) * power
-        power *= p
+    acc = _homogeneous_sum(_mp_clone_weights(d, n, k), p, q)
     return Fraction(acc, binomial(d + n + k - 1, k) * q**k)
 
 
-def jacobi_polynomial(alpha: int, beta: int, k: int, y: Fraction | int) -> Fraction:
-    """Jacobi polynomial P_k^(alpha,beta)(y) by the three-term recurrence, exactly.
+def _jacobi_numerator(alpha: int, beta: int, k: int, big_p: int, q: int) -> tuple[int, int]:
+    """(N_k, D_k) with P_k^(alpha,beta)(P/q) = N_k / (q^k D_k), for k >= 0 and
+    any integers P, q != 0.
 
-    With y = P/q, step j carries p_j = N_j / (q^j D_j) with an integer N_j and
-    D_j the product of the recurrence denominators so far; the result is
-    reduced once.  Raises ValueError at integer parameters where the recurrence
-    denominator vanishes (only possible for alpha + beta <= -2).
+    Step j of the three-term recurrence carries p_j = N_j / (q^j D_j) with an
+    integer N_j, homogeneous of degree j in (P, q), and D_j the product of the
+    recurrence denominators so far.  Raises ValueError at integer parameters
+    where a recurrence denominator vanishes (only possible for
+    alpha + beta <= -2).
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    yf = Fraction(y)
-    big_p, q = yf.numerator, yf.denominator
     if k == 0:
-        return Fraction(1)
+        return 1, 1
     n_prev, n_cur = 1, 2 * (alpha + 1) * q + (alpha + beta + 2) * (big_p - q)
     den, last = 2, 2  # D_1 and its last factor
     for j in range(2, k + 1):
@@ -178,7 +187,22 @@ def jacobi_polynomial(alpha: int, beta: int, k: int, y: Fraction | int) -> Fract
         tail = 2 * (j + alpha - 1) * (j + beta - 1) * c * last * q * q
         n_prev, n_cur = n_cur, lin * n_cur - tail * n_prev
         den, last = den * denom, denom
-    return Fraction(n_cur, q**k * den)
+    return n_cur, den
+
+
+def jacobi_polynomial(alpha: int, beta: int, k: int, y: Fraction | int) -> Fraction:
+    """Jacobi polynomial P_k^(alpha,beta)(y) by the three-term recurrence, exactly.
+
+    The integer numerator and denominator come from ``_jacobi_numerator`` and
+    the result is reduced once.  Raises ValueError at integer parameters where
+    the recurrence denominator vanishes (only possible for alpha + beta <= -2).
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    yf = Fraction(y)
+    q = yf.denominator
+    num, den = _jacobi_numerator(alpha, beta, k, yf.numerator, q)
+    return Fraction(num, q**k * den)
 
 
 JACOBI_CHECK_POINTS = (Fraction(0), Fraction(1, 2), Fraction(2), Fraction(-1, 3), Fraction(7, 5))
@@ -187,13 +211,32 @@ JACOBI_CHECK_POINTS = (Fraction(0), Fraction(1, 2), Fraction(2), Fraction(-1, 3)
 def mp_polynomial_jacobi_identity(d: int, n: int, k: int, points=JACOBI_CHECK_POINTS) -> bool:
     """Exact check that the coefficient polynomial has the Jacobi form
     M_k(x) = (x-1)^k / C(d+n+k-1, k) * P_k^(n-k, d-1)((x+1)/(x-1))
-    at the given rational points (x = 1 is excluded by the default set)."""
+    at the given rational points (x = 1 is excluded by the default set).
+
+    With x = p/q, M_k(x) = acc / (C(d+n+k-1, k) q^k) with
+    acc = sum_s a_s p^s q^(k-s) (see ``mp_clone_polynomial``).  Left unreduced,
+    y = (p+q)/(p-q) gives P_k(y) = N_k / ((p-q)^k D_k) by the recurrence, so
+    (x-1)^k = (p-q)^k / q^k, q^k and the binomial all cancel and each point is
+    the one integer equation acc D_k == N_k(p+q, p-q).  The weights a_s are
+    computed once per call.
+    """
+    weights = None
     for x in points:
         xf = Fraction(x)
-        lhs = mp_clone_polynomial(d, n, k, xf)
-        y = (xf + 1) / (xf - 1)
-        rhs = (xf - 1) ** k * jacobi_polynomial(n - k, d - 1, k, y) / binomial(d + n + k - 1, k)
-        if lhs != rhs:
+        p, q = xf.numerator, xf.denominator
+        if k >= 0:  # for k < 0, M_k is the empty sum
+            if weights is None:
+                weights = _mp_clone_weights(d, n, k)
+                norm = binomial(d + n + k - 1, k)
+            acc = _homogeneous_sum(weights, p, q)
+            if norm == 0:  # only when d + n <= 0: M_k(x) is acc / 0
+                raise ZeroDivisionError(f"Fraction({acc}, 0)")
+        if p == q:
+            (xf + 1) / (xf - 1)  # y is undefined at x = 1: raises ZeroDivisionError
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        num, den = _jacobi_numerator(n - k, d - 1, k, p + q, p - q)
+        if acc * den != num:
             return False
     return True
 

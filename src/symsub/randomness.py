@@ -10,13 +10,16 @@ be farmed out in parallel as long as the reduction keeps block order.
 
 Draw order of a block of Haar states: all of the block's real parts first, row
 by row, then its imaginary parts in the same row order.  ``Generator`` fills
-arrays element by element, so ``haar_state_chunks`` can draw the imaginary
-parts one chunk of rows at a time and still reproduce ``haar_state_batch``
-bit for bit.
+arrays element by element, so a block can be drawn one chunk of rows at a time
+and still reproduce ``haar_state_batch`` bit for bit: ``haar_state_chunks``
+reads the real parts from a copy of the block generator (its twin) and, once
+the block generator has drawn past the real parts, the imaginary parts from
+the block generator itself.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -90,6 +93,11 @@ def haar_state_batch(d: int, gen: np.random.Generator, count: int) -> np.ndarray
     return z
 
 
+def chunk_rows(d: int) -> int:
+    """Rows of length ``d`` in one chunk of ``haar_state_chunks``."""
+    return max(1, CHUNK_BYTES // (16 * d))
+
+
 def haar_state_chunks(
     d: int, gen: np.random.Generator, count: int, real: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -97,20 +105,27 @@ def haar_state_chunks(
     ``(start, rows)`` chunks of at most ``CHUNK_BYTES`` bytes each (one row
     when a row is larger).
 
-    All ``count`` real parts are drawn first, into the float buffer ``real`` of
-    at least ``count`` rows of ``d``; then each chunk's imaginary parts.  The
-    yielded rows live in one buffer that the next chunk overwrites.
+    A twin of ``gen`` is taken first.  ``gen`` then draws past the ``count``
+    real parts, one chunk at a time, into the float scratch buffer ``real`` of
+    at least ``min(count, chunk_rows(d))`` rows of ``d`` (rows past that are
+    left untouched); each chunk then takes its real parts from the twin and its
+    imaginary parts from ``gen``, which ends where ``haar_state_batch`` leaves
+    it.  So a few chunks are held, whatever ``count`` and ``d``.  The yielded
+    rows live in one buffer that the next chunk overwrites.
     """
-    rows = max(1, CHUNK_BYTES // (16 * d))
-    real = gen.standard_normal(out=real[:count])
-    imag = np.empty((min(rows, count), d))
-    z = np.empty(imag.shape, dtype=complex)
+    rows = chunk_rows(d)
+    shape = (min(rows, count), d)
+    twin = copy.deepcopy(gen)
+    real = real[: shape[0]]
+    for start in range(0, count, rows):
+        gen.standard_normal(out=real[: min(rows, count - start)])
+    imag = np.empty(shape)
+    z = np.empty(shape, dtype=complex)
     for start in range(0, count, rows):
         m = min(rows, count - start)
-        gen.standard_normal(out=imag[:m])
         chunk = z[:m]
-        chunk.real = real[start : start + m]
-        chunk.imag = imag[:m]
+        chunk.real = twin.standard_normal(out=real[:m])
+        chunk.imag = gen.standard_normal(out=imag[:m])
         chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)
         yield start, chunk
 
@@ -148,6 +163,7 @@ def haar_unitary(d: int, stream: RngStream) -> Operator:
     divided out (without the phase fix the factorization is not Haar)."""
     if d < 1:
         raise ValueError("d must be positive")
+    guard_dimension(d)
     gen = stream.generator()
     z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
@@ -156,7 +172,8 @@ def haar_unitary(d: int, stream: RngStream) -> Operator:
 
 
 def random_projector(dim: int, rank: int, stream: RngStream) -> Operator:
-    """U^dag Pi_0 U for Haar U and Pi_0 the projector on the first ``rank`` axes."""
+    """U^dag Pi_0 U for Haar U and Pi_0 the projector on the first ``rank`` axes;
+    ``haar_unitary`` refuses a ``dim`` above the dense cap."""
     if not 1 <= rank <= dim:
         raise ValueError("need 1 <= rank <= dim")
     u = haar_unitary(dim, stream).entries
@@ -233,6 +250,7 @@ def mc_projector_moment(dim: int, rank: int, n: int, total: int, stream: RngStre
     if not 1 <= rank <= dim:
         raise ValueError("need 1 <= rank <= dim")
     _check_counts(n, total)
+    guard_dimension(dim, "sample rows")  # a block holds BLOCK_SIZE rows of dim
     acc1 = 0.0
     acc2 = 0.0
     for block, size in _blocks(total):

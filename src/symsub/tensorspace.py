@@ -358,7 +358,9 @@ def tensor_power_span_rank(d: int, n: int, samples: int, stream) -> int:
     if samples < needed:
         raise ValueError(f"need at least {needed} samples for (d, n)=({d}, {n})")
     dim = d**n
-    guard_dimension(dim)
+    # each row holds a vectorized dim x dim operator: cap that width like a
+    # superoperator's side product
+    guard_dimension(dim * dim, "span rows")
     z = stream.generator().standard_normal((samples, 2, d))
     v = z[:, 0] + 1j * z[:, 1]
     w = _tensor_power_rows(v / np.linalg.norm(v, axis=1, keepdims=True), n)

@@ -280,3 +280,63 @@ def test_identity_check_rejects_a_perturbed_coefficient(monkeypatch, field, inde
     bad = dataclasses.replace(good, **{field: tuple(values)})
     monkeypatch.setattr(definetti, "exp_definetti_coefficients", lambda *args: bad)
     assert definetti.exp_definetti_identity_check(d, n, k, r) is _identity_check_by_fractions(bad) is False
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi form as one integer equation
+# ---------------------------------------------------------------------------
+
+def _jacobi_identity_by_fractions(d, n, k, points):
+    """The Fraction form: both sides evaluated and reduced, then compared."""
+    for x in points:
+        xf = Fraction(x)
+        lhs = mp_clone_polynomial(d, n, k, xf)
+        y = (xf + 1) / (xf - 1)
+        rhs = (xf - 1) ** k * jacobi_polynomial(n - k, d - 1, k, y) / binomial(d + n + k - 1, k)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def test_jacobi_identity_grid_matches_fraction_form_including_every_edge():
+    # k < 0, x = 1, singular recurrences, negative n and d <= 0, one point at a
+    # time (so each edge decides the outcome) and all points in both orders
+    kinds = set()
+    point_sets = [(x,) for x in POINTS] + [POINTS, POINTS[::-1], ()]
+    for d in range(-2, 5):
+        for n in range(-2, 7):
+            for k in range(-2, 8):
+                for points in point_sets:
+                    expected = _outcome(_jacobi_identity_by_fractions, d, n, k, points)
+                    assert _outcome(mp_polynomial_jacobi_identity, d, n, k, points) == expected, (d, n, k, points)
+                    kinds.add(expected if expected is True else expected[1].split(" ")[0])
+    # every edge is reached: k < 0, n < 0, a singular step, a vanishing
+    # normalisation (d + n <= 0) and y = (x+1)/(x-1) at x = 1
+    assert {"k", "a", "three-term", "Fraction(0,"} <= kinds and True in kinds and len(kinds) == 6
+
+
+@pytest.mark.parametrize("d,n,k", [(2, 4, 2), (3, 9, 5), (4, 25, 9), (3, 5000, 40)])
+def test_jacobi_identity_rejects_one_perturbed_weight(monkeypatch, d, n, k):
+    from symsub import exactcomb
+
+    weights = exactcomb._mp_clone_weights
+
+    def perturbed(*args):
+        w = weights(*args)
+        w[len(w) // 2] += 1
+        return w
+
+    assert mp_polynomial_jacobi_identity(d, n, k)
+    monkeypatch.setattr(exactcomb, "_mp_clone_weights", perturbed)
+    assert mp_polynomial_jacobi_identity(d, n, k) is False
+
+
+@pytest.mark.parametrize("d,n,k", [(2, 4, 2), (3, 9, 5), (4, 25, 9), (3, 5000, 40)])
+def test_jacobi_identity_rejects_swapped_alpha_beta(monkeypatch, d, n, k):
+    from symsub import exactcomb
+
+    numerator = exactcomb._jacobi_numerator
+    monkeypatch.setattr(
+        exactcomb, "_jacobi_numerator", lambda alpha, beta, *rest: numerator(beta, alpha, *rest)
+    )
+    assert mp_polynomial_jacobi_identity(d, n, k) is False
