@@ -50,7 +50,9 @@ def unvec(vector: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarra
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense matrix acting on column-stacked operators."""
+    """Dense matrix acting on column-stacked operators, held as ``complex128``
+    although every channel here is real: the ``full`` oracle's residuals are
+    pinned bit for bit against sums taken in complex."""
 
     matrix: np.ndarray
     in_dims: tuple[int, ...]

@@ -61,8 +61,9 @@ def mu_exact(op: Operator, part: MultiPartition, n: int) -> float:
 
     Equals tr[P^(x n) W^dag ((x)_i Pi_sym^(d_i,n)/sym_dim) W] with W the
     copy/system interleaving permutation; W enters only as an axis transpose and
-    P^(x n) is contracted one copy at a time, so a single dense matrix of side
-    total**n is the peak memory.
+    P^(x n) is contracted one copy at a time.  The peak memory is the real
+    moment matrix of side total**n, the transposed copy the first contraction
+    makes and, for a complex P, that copy cast to complex.
     """
     import numpy as np
 
@@ -77,10 +78,9 @@ def mu_exact(op: Operator, part: MultiPartition, n: int) -> float:
     ]
     # the kron is system-major, one axis per (system i, copy c) at i*n + c;
     # a single transpose regroups rows and columns copy-major at c*k + i
-    kq = reduce(np.kron, moments).reshape(tuple(d for d in dims for _ in range(n)) * 2)
     order = [i * n + c for c in range(n) for i in range(part.parties)]
-    mat = kq.transpose(order + [len(order) + a for a in order])
-    tensor = mat.reshape((total,) * n + (total,) * n)
+    tensor = reduce(np.kron, moments).reshape(tuple(d for d in dims for _ in range(n)) * 2)
+    tensor = tensor.transpose(order + [len(order) + a for a in order]).reshape((total,) * n + (total,) * n)
     pm = op.entries
     for step in range(n):
         tensor = np.tensordot(pm, tensor, axes=([1, 0], [0, n - step]))
@@ -142,7 +142,8 @@ def nu_max(
     k = part.parties
     if k == 1:
         return float(np.linalg.eigh(op.entries)[0][-1])
-    tensor = op.entries.reshape(dims + dims)
+    # the vectors are complex: cast a real P once, not in every matrix product
+    tensor = op.entries.astype(complex, copy=False).reshape(dims + dims)
     restarts = max(1, restarts)
     stream = stream or RngStream(seed=0)
     # every restart's start vectors, in the order a per-restart loop draws them

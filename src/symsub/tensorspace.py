@@ -29,14 +29,16 @@ from .guards import DimensionGuardError, guard_dimension, guard_matchings, guard
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex matrix tagged with row/column subsystem dimensions."""
+    """Dense matrix tagged with row/column subsystem dimensions: ``complex128``
+    for complex input and ``float64`` for any other (ints, bools, floats,
+    ``Fraction``s), so a real operator takes half the bytes of a complex one."""
 
     entries: np.ndarray
     row_dims: tuple[int, ...]
     col_dims: tuple[int, ...]
 
     def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=complex)
+        mat = np.asarray(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "row_dims", tuple(int(d) for d in self.row_dims))
         object.__setattr__(self, "col_dims", tuple(int(d) for d in self.col_dims))
@@ -85,9 +87,11 @@ def operator_to_json(op: Operator) -> dict:
 
 
 def operator_from_json(data: dict) -> Operator:
+    """Inverse of operator_to_json; real (float64) when every imaginary part is 0."""
     row_dims = tuple(data["row_dims"])
     col_dims = tuple(data["col_dims"])
-    flat = np.array([complex(re, im) for re, im in data["entries"]])
+    pairs = np.array(data["entries"], dtype=float).reshape(-1, 2)
+    flat = pairs.view(complex)[:, 0] if pairs[:, 1].any() else pairs[:, 0]
     return Operator(flat.reshape(prod(row_dims), prod(col_dims)), row_dims, col_dims)
 
 
@@ -197,9 +201,9 @@ def sym_projector_group(d: int, n: int) -> Operator:
     """Group-average projector (1/n!) sum_pi P(pi) onto the symmetric subspace."""
     guard_dimension(d**n)
     if n == 0 or d == 1:
-        mat = np.ones((1, 1), dtype=complex)
+        mat = np.ones((1, 1))
     else:
-        mat = _symmetrizer_int(d, n).astype(complex) / factorial(n)
+        mat = np.divide(_symmetrizer_int(d, n), factorial(n))
     return Operator(mat, copy_dims(d, n), copy_dims(d, n))
 
 
@@ -230,7 +234,7 @@ def _type_isometry_matrix(d: int, n: int) -> np.ndarray:
     types = np.zeros((sym_dim(d, n), d), dtype=np.int64)
     types[cols] = counts
     norms = np.array([1.0 / np.sqrt(multinomial(n, t)) for t in types.tolist()])
-    mat = np.zeros((dim, len(types)), dtype=complex)
+    mat = np.zeros((dim, len(types)))
     mat[strings, cols] = norms[cols]
     return mat
 
@@ -325,7 +329,7 @@ def partial_trace(op: Operator, keep: Iterable[int]) -> Operator:
     if len(keep_list) == m:
         return op
     if not keep_list:
-        return Operator(np.array([[op.trace()]]), (1,), (1,))
+        return Operator(np.trace(op.entries).reshape(1, 1), (1,), (1,))
     tensor = op.entries.reshape(dims + dims)
     traced = [i for i in range(m) if i not in keep_list]
     for count, idx in enumerate(traced):

@@ -292,8 +292,8 @@ def test_dense_builders_hold_nothing_after_release():
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        iso = type_isometry(64, 2)  # 4096 x 2080 complex, 130 MiB
-        proj = sym_projector_group(2, 10)  # 1024 x 1024 complex, 16 MiB
+        iso = type_isometry(64, 2)  # 4096 x 2080 float64, 65 MiB
+        proj = sym_projector_group(3, 7)  # 2187 x 2187 float64, 36.5 MiB
         assert iso.entries.nbytes + proj.entries.nbytes > 100 * 2**20
         del iso, proj
         after, _ = tracemalloc.get_traced_memory()
