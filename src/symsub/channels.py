@@ -5,10 +5,11 @@ partial trace, plus verification of the identity relating them.
 Vectorization is column-stacking throughout: vec(A) stacks the columns of A,
 so vec(AXB) = (B^T (x) A) vec(X) and a Kraus map sums conj(K) (x) K.
 
-The ``*_sym`` constructors return each channel on symmetric-subspace
-coordinates (sym_dim-sided, exactly its action on symmetric inputs, where the
-channel definitions are pinned), densified by one scatter from a real entry
-list (out_flat, in_flat, value) of type-basis multinomial amplitudes; no
+Every channel here is a real map, so its matrix is ``float64``.  The
+``*_sym`` constructors return each channel on symmetric-subspace coordinates
+(sym_dim-sided, exactly its action on symmetric inputs, where the channel
+definitions are pinned), densified by one scatter from a real entry list
+(out_flat, in_flat, value) of type-basis multinomial amplitudes; no
 d^n-sided object is built.  The identity verifiers run there by default and
 never densify: a composition joins one list's output index to the next one's
 input index, the weighted terms are summed by np.unique + bincount, and the
@@ -29,9 +30,9 @@ from math import prod, sqrt
 
 import numpy as np
 
-from .exactcomb import binomial, enumerate_types, mp_clone_coefficient, multinomial, sym_dim
+from .exactcomb import _homogeneous_sum, binomial, enumerate_types, mp_clone_coefficient, multinomial, sym_dim
 from .guards import guard_dimension
-from .tensorspace import Operator, _type_isometry_matrix, copy_dims, sym_projector_group
+from .tensorspace import Operator, _dense, _type_isometry_matrix, copy_dims, sym_projector_group
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -50,16 +51,14 @@ def unvec(vector: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarra
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense matrix acting on column-stacked operators, held as ``complex128``
-    although every channel here is real: the ``full`` oracle's residuals are
-    pinned bit for bit against sums taken in complex."""
+    """Dense matrix acting on column-stacked operators; its dtype follows ``_dense``."""
 
     matrix: np.ndarray
     in_dims: tuple[int, ...]
     out_dims: tuple[int, ...]
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = _dense(self.matrix)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "in_dims", tuple(int(d) for d in self.in_dims))
         object.__setattr__(self, "out_dims", tuple(int(d) for d in self.out_dims))
@@ -86,9 +85,9 @@ def identity_superoperator(dims: tuple[int, ...]) -> Superoperator:
 def kraus_superoperator(kraus_ops, in_dims, out_dims) -> Superoperator:
     """Assemble sum_i conj(K_i) (x) K_i."""
     din, dout = prod(in_dims), prod(out_dims)
-    acc = np.zeros((dout * dout, din * din), dtype=complex)
-    for op in kraus_ops:
-        k = np.asarray(op, dtype=complex)
+    ops = [np.asarray(op) for op in kraus_ops]
+    acc = np.zeros((dout * dout, din * din), dtype=np.result_type(float, *ops))
+    for k in ops:
         acc += np.kron(k.conj(), k)
     return Superoperator(acc, tuple(in_dims), tuple(out_dims))
 
@@ -223,7 +222,7 @@ def _scatter(entries, dout: int, din: int) -> Superoperator:
     """Densify an entry list by one scatter; an entry maps |in_row><in_col| to value
     |out_row><out_col| at out_flat = out_row + out_col * dout, in_flat = in_row + in_col * din."""
     out, inp, values = entries
-    mat = np.zeros((dout * dout, din * din), dtype=complex)
+    mat = np.zeros((dout * dout, din * din))
     mat[out, inp] = values
     return Superoperator(mat, (din,), (dout,))
 
@@ -304,10 +303,7 @@ def f_overlap(d: int, n: int, k: int, x: Fraction | int) -> Fraction:
     xf = Fraction(x)
     p, q = xf.numerator, xf.denominator
     denom = binomial(n + k, k)
-    acc, power = 0, 1
-    for s in range(k + 1):  # acc = sum_s C(k,s) C(n,s) p^s q^(k-s)
-        acc = acc * q + binomial(k, s) * binomial(n, s) * power
-        power *= p
+    acc = _homogeneous_sum([binomial(k, s) * binomial(n, s) for s in range(k + 1)], p, q)
     fidelity = estimation_fidelity(d, n, k)
     if k < 0:  # the empty sum
         return Fraction(0)

@@ -27,18 +27,21 @@ from .exactcomb import binomial, multinomial, sym_dim
 from .guards import DimensionGuardError, guard_dimension, guard_matchings, guard_permutations
 
 
+def _dense(values) -> np.ndarray:
+    """The dtype of every dense matrix: ``complex128`` for complex input, ``float64`` for any other."""
+    return np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
+
+
 @dataclass(frozen=True)
 class Operator:
-    """Dense matrix tagged with row/column subsystem dimensions: ``complex128``
-    for complex input and ``float64`` for any other (ints, bools, floats,
-    ``Fraction``s), so a real operator takes half the bytes of a complex one."""
+    """Dense matrix tagged with row/column subsystem dimensions; its dtype follows ``_dense``."""
 
     entries: np.ndarray
     row_dims: tuple[int, ...]
     col_dims: tuple[int, ...]
 
     def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
+        mat = _dense(self.entries)
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "row_dims", tuple(int(d) for d in self.row_dims))
         object.__setattr__(self, "col_dims", tuple(int(d) for d in self.col_dims))

@@ -35,6 +35,26 @@ def test_verify_chiribella_passes(capsys):
     assert doc["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("fail_at", [None, 1])
+def test_chiribella_coefficient_identity_runs_once_and_a_failure_is_reported(capsys, monkeypatch, fail_at):
+    from symsub import channels
+
+    real, calls = channels.chiribella_coefficient_identity, []
+
+    def identity(d, n, k, s):
+        calls.append(s)
+        return s != fail_at and real(d, n, k, s)
+
+    monkeypatch.setattr(channels, "chiribella_coefficient_identity", identity)
+    code, doc = _json_run(capsys, ["verify", "chiribella", "--d", "2", "--n", "2", "--k", "2"])
+    exact = next(c for c in doc["checks"] if c["name"] == "exact_coefficient_identity")
+    if fail_at is None:
+        assert code == 0 and exact["pass"] and calls == [0, 1, 2]
+    else:
+        assert code == 1 and doc["verdict"] == "fail" and calls == [0, 1]
+        assert doc["checks"] == [exact] and exact["actual"] is False
+
+
 def test_verify_jacobi_and_commutant(capsys):
     code, _ = _json_run(capsys, ["verify", "jacobi", "--d", "3", "--n", "4", "--k", "2"])
     assert code == 0

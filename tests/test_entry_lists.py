@@ -102,7 +102,7 @@ def test_chiribella_residual_matches_densified_sides(d, n, k):
 def test_full_residual_matches_literal_dense_sum(d, n, k):
     # the full oracle keeps its dense sum: one buffer, terms added in s order
     lhs = mp_channel(d, n, k).matrix
-    rhs = np.zeros(lhs.shape, dtype=complex)
+    rhs = np.zeros(lhs.shape, dtype=lhs.dtype)
     for s in range(min(n, k) + 1):
         rhs += float(mp_clone_coefficient(d, n, k, s)) * compose(trace_channel(d, n, s), clone_channel(d, s, k - s)).matrix
     proj = projection_superoperator(d, n).matrix

@@ -1,5 +1,6 @@
-"""Dtype contract of the dense builders: real operators are float64, sampled
-ones complex128, and the real values are the ones the complex builds held."""
+"""Dtype contract of the dense builders: real operators and channels are
+float64, sampled ones complex128, and the real values are the ones the
+complex builds held."""
 
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,25 @@ from math import factorial
 import numpy as np
 import pytest
 
-from symsub.exactcomb import multinomial, real_moment_ratio, sym_dim
+from symsub.channels import (
+    _clone_entries,
+    _mp_entries,
+    _trace_entries,
+    apply,
+    chiribella_sides,
+    clone_channel,
+    clone_channel_sym,
+    compress_superoperator,
+    identity_superoperator,
+    kraus_superoperator,
+    mp_channel,
+    mp_channel_sym,
+    projection_superoperator,
+    trace_channel,
+    trace_channel_sym,
+)
+from symsub.definetti import exp_definetti_sides, mp_remainder_channel_sym
+from symsub.exactcomb import mp_clone_coefficient, multinomial, real_moment_ratio, sym_dim
 from symsub.randomness import (
     RngStream,
     _matching_sum,
@@ -32,6 +51,7 @@ from symsub.tensorspace import (
     enumerate_matchings,
     matching_operator,
     operator_from_json,
+    operator_tensor,
     operator_to_json,
     partial_trace,
     permutation_operator,
@@ -198,3 +218,130 @@ def test_json_with_one_imaginary_part_is_complex():
     back = operator_from_json(data)
     assert back.entries.dtype == np.complex128
     assert back.entries[0, 1] == -0.5j and back.entries[1, 1] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# superoperators follow the same rule
+# ---------------------------------------------------------------------------
+
+DNK = [(d, n, k) for d in range(1, 4) for n in range(1, 4) for k in range(1, 4) if d ** (n + k) <= 81]
+
+CHANNEL_BUILDERS = {
+    "clone_channel_sym": clone_channel_sym,
+    "mp_channel_sym": mp_channel_sym,
+    "trace_channel_sym": lambda d, n, k: trace_channel_sym(d, n, min(n, k)),
+    "clone_channel": clone_channel,
+    "mp_channel": mp_channel,
+    "trace_channel": lambda d, n, k: trace_channel(d, n, min(n, k)),
+    "projection_superoperator": lambda d, n, k: projection_superoperator(d, n),
+    "compress_superoperator": lambda d, n, k: compress_superoperator(clone_channel(d, n, k), d, n, n + k),
+    "identity_superoperator": lambda d, n, k: identity_superoperator((d, n)),
+    "mp_remainder_channel_sym": lambda d, n, k: mp_remainder_channel_sym(d, n, min(n, k))[1],
+}
+
+
+@pytest.mark.parametrize("name", list(CHANNEL_BUILDERS))
+@pytest.mark.parametrize("d,n,k", [(1, 2, 1), (2, 2, 1), (2, 3, 2), (3, 2, 2)])
+def test_channel_builders_return_float64(name, d, n, k):
+    assert CHANNEL_BUILDERS[name](d, n, k).matrix.dtype == np.float64
+
+
+@pytest.mark.parametrize("representation", ["sym", "full"])
+def test_identity_sides_are_float64(representation):
+    for side in chiribella_sides(2, 3, 2, representation):
+        assert side.dtype == np.float64
+    for side in exp_definetti_sides(2, 3, 2):
+        assert side.dtype == np.float64
+
+
+def test_complex_kraus_map_and_complex_input_stay_complex128():
+    k = np.array([[1.0, 0.5j], [0.0, 1.0], [0.25, -1j]])
+    s = kraus_superoperator([k], (2,), (3,))
+    assert s.matrix.dtype == np.complex128
+    assert np.array_equal(s.matrix, np.kron(k.conj(), k))
+    mixed = kraus_superoperator([k.real, k], (2,), (3,))
+    assert mixed.matrix.dtype == np.complex128
+    channel = trace_channel(2, 2, 1)
+    rho = Operator(np.array([[0.5, 0.25j], [-0.25j, 0.5]]), (2,), (2,))
+    assert apply(channel, operator_tensor(rho, rho)).entries.dtype == np.complex128
+    assert apply(channel, operator_tensor(rho, rho)).entries[0, 1] == 0.25j
+    real_rho = Operator(np.eye(4) / 4, (2, 2), (2, 2))
+    assert apply(channel, real_rho).entries.dtype == np.float64
+
+
+def _old_kraus_sum(kraus, dout, din):
+    """The complex build: each Kraus operator cast to complex, summed in complex."""
+    acc = np.zeros((dout * dout, din * din), dtype=complex)
+    for op in kraus:
+        k = np.asarray(op, dtype=complex)
+        acc += np.kron(k.conj(), k)
+    return acc
+
+
+def _old_clone_channel(d, n, k):
+    pi = sym_projector_group(d, n + k).entries
+    root = np.sqrt(float(Fraction(sym_dim(d, n), sym_dim(d, n + k))))
+    return _old_kraus_sum([root * pi[:, a :: d**k] for a in range(d**k)], d ** (n + k), d**n)
+
+
+def _old_trace_channel(d, n, k):
+    eye = np.eye(d**n)
+    return _old_kraus_sum([eye[b :: d ** (n - k)] for b in range(d ** (n - k))], d**k, d**n)
+
+
+def _old_mp_channel(d, n, k):
+    tensor = sym_projector_group(d, n + k).entries.astype(complex).reshape(d**n, d**k, d**n, d**k)
+    c = float(Fraction(sym_dim(d, n), sym_dim(d, n + k)))
+    return c * tensor.transpose(3, 1, 0, 2).reshape(d ** (2 * k), d ** (2 * n))
+
+
+def _old_scatter(entries, dout, din):
+    """The complex build: one scatter into a zero complex matrix."""
+    out, inp, values = entries
+    mat = np.zeros((dout * dout, din * din), dtype=complex)
+    mat[out, inp] = values
+    return mat
+
+
+OLD_CHANNELS = {
+    "clone_channel_sym": (clone_channel_sym, lambda d, n, k: _old_scatter(_clone_entries(d, n, k), sym_dim(d, n + k), sym_dim(d, n))),
+    "mp_channel_sym": (mp_channel_sym, lambda d, n, k: _old_scatter(_mp_entries(d, n, k), sym_dim(d, k), sym_dim(d, n))),
+    "trace_channel_sym": (trace_channel_sym, lambda d, n, k: _old_scatter(_trace_entries(d, n, k), sym_dim(d, k), sym_dim(d, n))),
+    "clone_channel": (clone_channel, _old_clone_channel),
+    "mp_channel": (mp_channel, _old_mp_channel),
+    "trace_channel": (trace_channel, _old_trace_channel),
+}
+
+
+@pytest.mark.parametrize("name", list(OLD_CHANNELS))
+@pytest.mark.parametrize("d,n,k", DNK)
+def test_channels_equal_their_complex_builds(name, d, n, k):
+    if name.startswith("trace") and k > n:
+        k = n
+    build, old_build = OLD_CHANNELS[name]
+    new, old = build(d, n, k).matrix, old_build(d, n, k)
+    assert np.array_equal(new.astype(complex), old)
+    assert np.signbit(new).tolist() == np.signbit(old.real).tolist()
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 1), (2, 3), (3, 2)])
+def test_projection_and_identity_superoperators_equal_their_complex_builds(d, n):
+    pi = sym_projector_group(d, n).entries.astype(complex)
+    assert np.array_equal(projection_superoperator(d, n).matrix.astype(complex), np.kron(pi.T, pi))
+    assert np.array_equal(identity_superoperator((d, n)).matrix.astype(complex), np.eye((d * n) ** 2, dtype=complex))
+
+
+@pytest.mark.parametrize("d,n,k", [dnk for dnk in DNK if dnk[2] <= dnk[1]])
+def test_mp_remainder_within_one_ulp_of_its_complex_build(d, n, k):
+    # numpy divides complex by multiplying with the reciprocal; the real
+    # quotient is correctly rounded
+    m_kk = mp_clone_coefficient(d, n, k, k)
+    new = mp_remainder_channel_sym(d, n, k)[1].matrix
+    if m_kk == 1:
+        assert not new.any()
+        return
+    mp, tr = mp_channel_sym(d, n, k).matrix, trace_channel_sym(d, n, k).matrix
+    assert np.array_equal(new, (mp - float(m_kk) * tr) / float(1 - m_kk))
+    old = (mp.astype(complex) - float(m_kk) * tr.astype(complex)) / float(1 - m_kk)
+    assert np.all(np.abs(new - old.real) <= np.spacing(np.abs(new)))
+    assert not old.imag.any()
