@@ -32,7 +32,7 @@ import numpy as np
 
 from .exactcomb import _homogeneous_sum, binomial, enumerate_types, mp_clone_coefficient, multinomial, sym_dim
 from .guards import guard_dimension
-from .tensorspace import Operator, _dense, _type_isometry_matrix, copy_dims, sym_projector_group
+from .tensorspace import Operator, _dense, _type_isometry_matrix, _type_rank, copy_dims, sym_projector_group
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -187,25 +187,21 @@ def _type_split(d: int, p: int, q: int):
     the last q copies, |w> = sum_{a+b=w} A |a>|b> with
     A = sqrt(M(p,a) M(q,b) / M(p+q,w)) and M the multinomial.
 
-    Returns four flat arrays over the nonzero amplitudes: the column of w in
-    enumerate_types(d, p+q), of a in enumerate_types(d, p), of b in
-    enumerate_types(d, q), and A itself.
+    Returns four flat arrays over the nonzero amplitudes, a-major: the column
+    of w in enumerate_types(d, p+q), ranked from the summed rows a + b, of a in
+    enumerate_types(d, p), of b in enumerate_types(d, q), and A itself.
     """
-    wholes = enumerate_types(d, p + q)
-    col_of = {t.entries: c for c, t in enumerate(wholes)}
-    m_whole = [multinomial(p + q, t) for t in wholes]
-    firsts = [(t.entries, multinomial(p, t)) for t in enumerate_types(d, p)]
-    seconds = [(t.entries, multinomial(q, t)) for t in enumerate_types(d, q)]
-    w_idx, a_idx, b_idx, amp = [], [], [], []
-    for ia, (a, ma) in enumerate(firsts):
-        for ib, (b, mb) in enumerate(seconds):
-            col = col_of[tuple(x + y for x, y in zip(a, b))]
-            w_idx.append(col)
-            a_idx.append(ia)
-            b_idx.append(ib)
-            # exact big-int ratio, correctly rounded; it is at most 1
-            amp.append(sqrt(ma * mb / m_whole[col]))
-    return np.array(w_idx), np.array(a_idx), np.array(b_idx), np.array(amp)
+    firsts, seconds = enumerate_types(d, p), enumerate_types(d, q)
+    a_idx = np.repeat(np.arange(len(firsts)), len(seconds))
+    b_idx = np.tile(np.arange(len(seconds)), len(firsts))
+    rows = np.array([t.entries for t in firsts])[a_idx] + np.array([t.entries for t in seconds])[b_idx]
+    w_idx = _type_rank(rows, p + q)
+    m_a = [multinomial(p, t) for t in firsts]
+    m_b = [multinomial(q, t) for t in seconds]
+    m_w = [multinomial(p + q, t) for t in enumerate_types(d, p + q)]
+    # exact big-int ratio, correctly rounded; it is at most 1
+    amp = [sqrt(m_a[i] * m_b[j] / m_w[c]) for i, j, c in zip(a_idx.tolist(), b_idx.tolist(), w_idx.tolist())]
+    return w_idx, a_idx, b_idx, np.array(amp)
 
 
 def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

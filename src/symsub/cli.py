@@ -473,7 +473,7 @@ def main(argv=None) -> int:
         set_max_dim(args.max_dim)
     try:
         spec.handler(args, report)
-    except DimensionGuardError as exc:
+    except (DimensionGuardError, MemoryError) as exc:  # an allocation numpy refuses is a size refusal
         print(f"dimension guard: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

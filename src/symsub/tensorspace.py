@@ -24,7 +24,7 @@ import numpy as np
 
 from .exactcomb import conjugation_fixed_dimension  # noqa: F401  re-exported
 from .exactcomb import binomial, multinomial, sym_dim
-from .guards import DimensionGuardError, guard_dimension, guard_matchings, guard_permutations
+from .guards import guard_dimension, guard_matchings, guard_permutations
 
 
 def _dense(values) -> np.ndarray:
@@ -170,43 +170,43 @@ def permutation_operator(d: int, pi: Permutation) -> Operator:
 # symmetric projector, two ways
 # ---------------------------------------------------------------------------
 
-def _transposition_index_map(d: int, n: int, i: int, j: int) -> np.ndarray:
-    return _index_grid(d, n).swapaxes(i, j).reshape(-1)
+def _type_rank(counts: np.ndarray, n: int) -> np.ndarray:
+    """Column of each type row (d letter counts summing to n) in enumerate_types order.
 
-
-def _symmetrizer_int(d: int, n: int) -> np.ndarray:
-    """Unnormalized symmetrizer sum_pi P(pi) with exact integer entries.
-
-    Computed by the left-coset cascade S_m = (S_{m-1} (x) I) (I + sum_j T_{j,m}),
-    which reproduces the full group sum without enumerating S_n.  Entries are
-    bounded by n!, so they are held in int32 up to n = 12 and in int64 above,
-    which covers every n whose d**n (d >= 2) could pass the size guard; d = 1
-    is handled by the caller and n > 20 refused outright.
+    At slot i the types sharing the row's prefix with more letters there come
+    first, C(d-i-2+g, g-1) of them when g letters are left after slot i.
     """
-    if n > 20:
-        raise DimensionGuardError("symmetrizer entries would overflow int64 beyond n = 20")
-    dtype = np.int32 if factorial(n) <= np.iinfo(np.int32).max else np.int64
-    mat = np.eye(d, dtype=dtype)
-    for m in range(2, n + 1):
-        base = np.kron(mat, np.eye(d, dtype=dtype))
-        # each coset term is a column gather of base into one reused buffer
-        total = np.take(base, _transposition_index_map(d, m, 0, m - 1), axis=1)
-        total += base
-        gathered = np.empty_like(base)
-        for j in range(1, m - 1):
-            np.take(base, _transposition_index_map(d, m, j, m - 1), axis=1, out=gathered)
-            total += gathered
-        mat = total
-    return mat
+    d = counts.shape[1]
+    cols, left = np.zeros(len(counts), dtype=np.int64), np.full(len(counts), n)
+    for i in range(d - 1):
+        left -= counts[:, i]
+        cols += np.array([binomial(d - i - 2 + g, g - 1) for g in range(n + 1)])[left]
+    return cols
+
+
+def _string_types(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each string's type column in enumerate_types order, and the (sym_dim, d) table of types."""
+    dim, strings = d**n, np.arange(d**n)
+    counts = np.zeros((dim, d), dtype=np.int64)  # counts[x, a]: letters a in string x
+    for m in range(n):
+        counts[strings, strings // d**m % d] += 1
+    cols = _type_rank(counts, n)
+    types = np.zeros((sym_dim(d, n), d), dtype=np.int64)
+    types[cols] = counts
+    return cols, types
 
 
 def sym_projector_group(d: int, n: int) -> Operator:
-    """Group-average projector (1/n!) sum_pi P(pi) onto the symmetric subspace."""
+    """Group-average projector (1/n!) sum_pi P(pi) onto the symmetric subspace.
+
+    Read off the string types: the group average is sum_t |t><t| over the type
+    states, so entry [x, y] is 1/M(n, t) when strings x and y share type t and 0
+    otherwise.  1/M(n, t) is a correctly rounded quotient of Python ints.
+    """
     guard_dimension(d**n)
-    if n == 0 or d == 1:
-        mat = np.ones((1, 1))
-    else:
-        mat = np.divide(_symmetrizer_int(d, n), factorial(n))
+    cols, types = _string_types(d, n)
+    weights = np.array([1 / multinomial(n, t) for t in types.tolist()])
+    mat = np.where(cols[:, None] == cols, weights[cols][:, None], 0.0)
     return Operator(mat, copy_dims(d, n), copy_dims(d, n))
 
 
@@ -223,22 +223,12 @@ def sym_projector_enumerated(d: int, n: int) -> Operator:
 
 
 def _type_isometry_matrix(d: int, n: int) -> np.ndarray:
+    """The type isometry's matrix: string x holds 1/sqrt(M(n, t)) in the column of its type t."""
     guard_dimension(d**n)
-    dim, strings = d**n, np.arange(d**n)
-    counts = np.zeros((dim, d), dtype=np.int64)  # counts[x, a]: letters a in string x
-    for m in range(n):
-        counts[strings, strings // d**m % d] += 1
-    # column of each string's type in enumerate_types order: at slot i the types sharing
-    # the prefix with more letters there come first, C(d-i-2+g, g-1) of them (g left after i)
-    cols, left = np.zeros(dim, dtype=np.int64), np.full(dim, n)
-    for i in range(d - 1):
-        left -= counts[:, i]
-        cols += np.array([binomial(d - i - 2 + g, g - 1) for g in range(n + 1)])[left]
-    types = np.zeros((sym_dim(d, n), d), dtype=np.int64)
-    types[cols] = counts
+    cols, types = _string_types(d, n)
     norms = np.array([1.0 / np.sqrt(multinomial(n, t)) for t in types.tolist()])
-    mat = np.zeros((dim, len(types)))
-    mat[strings, cols] = norms[cols]
+    mat = np.zeros((d**n, len(types)))
+    mat[np.arange(d**n), cols] = norms[cols]
     return mat
 
 

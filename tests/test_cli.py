@@ -333,7 +333,18 @@ def test_bad_max_dim_env_var_exits_2_naming_it(capsys, monkeypatch, value):
 
 
 def test_symmetrizer_beyond_int64_is_a_size_refusal(capsys):
-    # 2^21 passes a raised side cap, but n = 21 symmetrizer entries overflow int64
+    # 2^21 passes a raised side cap, but the 2^21-sided projector's first
+    # allocation is refused by numpy at once, and that is a size refusal too
     code, out, err = _run(capsys, ["--max-dim", "3000000", "verify", "psym", "--d", "2", "--n", "21"])
     assert code == 3 and out == ""
-    assert err == "dimension guard: symmetrizer entries would overflow int64 beyond n = 20\n"
+    assert err == (
+        "dimension guard: Unable to allocate 4.00 TiB for an array with shape "
+        "(2097152, 2097152) and data type bool\n"
+    )
+
+
+def test_spans_beyond_memory_is_a_size_refusal(capsys):
+    # 10^11 sampled vectors are refused at their first allocation
+    code, out, err = _run(capsys, ["verify", "spans", "--d", "2", "--n", "2", "--samples", "100000000000"])
+    assert code == 3 and out == ""
+    assert err.startswith("dimension guard: Unable to allocate ")

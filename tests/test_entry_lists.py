@@ -5,6 +5,7 @@ entries."""
 
 import json
 import tracemalloc
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from symsub.channels import (
 )
 from symsub.cli import main
 from symsub.definetti import exp_definetti_full_coefficients, exp_definetti_sides, verify_exp_definetti
-from symsub.exactcomb import mp_clone_coefficient, sym_dim
+from symsub.exactcomb import enumerate_types, mp_clone_coefficient, multinomial, sym_dim
 
 SMALL = [(d, n, k) for d in range(1, 5) for n in range(0, 5) for k in range(0, 6)]
 
@@ -69,6 +70,32 @@ def _trace_oracle(d, n, k):
     w, a, b, amp = _type_split(d, k, n - k)
     i, j = _pairs_sharing(b)
     return _pair_superoperator(a[i], a[j], w[i], w[j], amp[i] * amp[j], dout, din)
+
+
+def _type_split_by_dict(d, p, q):
+    """Oracle: the split with each summed type looked up in a dict over enumerate_types."""
+    wholes = enumerate_types(d, p + q)
+    col_of = {t.entries: c for c, t in enumerate(wholes)}
+    m_whole = [multinomial(p + q, t) for t in wholes]
+    firsts = [(t.entries, multinomial(p, t)) for t in enumerate_types(d, p)]
+    seconds = [(t.entries, multinomial(q, t)) for t in enumerate_types(d, q)]
+    w_idx, a_idx, b_idx, amp = [], [], [], []
+    for ia, (a, ma) in enumerate(firsts):
+        for ib, (b, mb) in enumerate(seconds):
+            col = col_of[tuple(x + y for x, y in zip(a, b))]
+            w_idx.append(col)
+            a_idx.append(ia)
+            b_idx.append(ib)
+            amp.append(sqrt(ma * mb / m_whole[col]))
+    return np.array(w_idx), np.array(a_idx), np.array(b_idx), np.array(amp)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+@pytest.mark.parametrize("p", range(6))
+@pytest.mark.parametrize("q", range(6))
+def test_type_split_matches_dict_lookup(d, p, q):
+    for got, want in zip(_type_split(d, p, q), _type_split_by_dict(d, p, q)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("d,n,k", SMALL)

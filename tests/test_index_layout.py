@@ -29,7 +29,6 @@ from symsub.tensorspace import (
     Operator,
     Permutation,
     _index_digits,
-    _transposition_index_map,
     enumerate_matchings,
     matching_operator,
     permutation_index_map,
@@ -182,7 +181,9 @@ def test_permutation_maps_match_place_values(d, n):
 def test_transposition_maps_match_place_values(d, n):
     for i in range(n):
         for j in range(n):
-            got = _transposition_index_map(d, n, i, j)
+            images = list(range(n))
+            images[i], images[j] = j, i
+            got = permutation_index_map(d, Permutation(images))
             assert np.array_equal(got, _transposition_map_by_digits(d, n, i, j)), (i, j)
 
 

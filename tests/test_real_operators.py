@@ -46,7 +46,6 @@ from symsub.tensorspace import (
     Operator,
     Permutation,
     _index_digits,
-    _symmetrizer_int,
     all_permutations,
     enumerate_matchings,
     matching_operator,
@@ -124,11 +123,24 @@ def test_partial_trace_of_a_real_operator_stays_real():
     assert abs(partial_trace(proj, []).entries[0, 0] - 4.0) <= 1e-12
 
 
+def _symmetrizer_counts(d, n):
+    """Exact integer symmetrizer sum_pi P(pi) by the coset cascade
+    S_m = (S_{m-1} (x) I) (I + sum_j T_{j,m})."""
+    mat = np.eye(d, dtype=np.int64)
+    for m in range(2, n + 1):
+        base = np.kron(mat, np.eye(d, dtype=np.int64))
+        total = base.copy()
+        for j in range(m - 1):
+            total += base[:, np.arange(d**m).reshape((d,) * m).swapaxes(j, m - 1).reshape(-1)]
+        mat = total
+    return mat
+
+
 def _old_symmetric_projector(d, n):
     """The complex build: integer symmetrizer cast to complex, then divided."""
     if n == 0 or d == 1:
         return np.ones((1, 1), dtype=complex)
-    return _symmetrizer_int(d, n).astype(complex) / factorial(n)
+    return _symmetrizer_counts(d, n).astype(complex) / factorial(n)
 
 
 def _old_type_isometry(d, n):
@@ -185,7 +197,7 @@ def test_haar_moment_operator_within_one_ulp_of_its_complex_build(d, n):
 @pytest.mark.parametrize("d,n", [(2, 6), (2, 8), (3, 5), (3, 6), (4, 5)])
 def test_symmetric_projector_entries_are_correctly_rounded(d, n):
     # the complex build rounded a * (1/n!), which misses a/n! at (2, 6) and (3, 6)
-    counts = _symmetrizer_int(d, n)
+    counts = _symmetrizer_counts(d, n)
     proj = sym_projector_group(d, n).entries
     for a in np.unique(counts):
         assert np.all(proj[counts == a] == float(Fraction(int(a), factorial(n))))

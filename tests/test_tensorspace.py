@@ -4,7 +4,7 @@ matchings, partial trace, commutant dimensions, span ranks."""
 import numpy as np
 import pytest
 
-from symsub.exactcomb import sym_dim
+from symsub.exactcomb import enumerate_types, sym_dim
 from symsub.guards import DimensionGuardError
 from symsub.randomness import RngStream
 from symsub.tensorspace import (
@@ -242,37 +242,55 @@ def test_type_isometry_matches_row_loop(d, n):
 
 
 def _symmetrizer_by_fancy_index(d, n):
-    """Reference: the int64 coset cascade with one fancy-indexed copy per term."""
-    from symsub.tensorspace import _transposition_index_map
-
+    """Reference: the int64 coset cascade S_m = (S_{m-1} (x) I) (I + sum_j T_{j,m}),
+    one fancy-indexed copy per transposition term."""
     mat = np.eye(d, dtype=np.int64)
     for m in range(2, n + 1):
         base = np.kron(mat, np.eye(d, dtype=np.int64))
         total = base.copy()
         for j in range(m - 1):
-            total += base[:, _transposition_index_map(d, m, j, m - 1)]
+            total += base[:, np.arange(d**m).reshape((d,) * m).swapaxes(j, m - 1).reshape(-1)]
         mat = total
     return mat
 
 
 @pytest.mark.parametrize("d,n", [(2, 10), (3, 6), (4, 4)])
 def test_symmetrizer_matches_reference_cascade(d, n):
-    from symsub.tensorspace import _symmetrizer_int
-
-    got = _symmetrizer_int(d, n)
-    assert got.dtype == np.int32
-    assert np.array_equal(got, _symmetrizer_by_fancy_index(d, n))
-
-
-def test_symmetrizer_dtype_holds_n_factorial():
     from math import factorial
 
-    from symsub.tensorspace import _symmetrizer_int
+    got = sym_projector_group(d, n).entries
+    assert np.array_equal(got, _symmetrizer_by_fancy_index(d, n) / factorial(n))
 
-    # at d = 1 the single entry is n! itself: 12! fits int32, 13! does not
-    small, large = _symmetrizer_int(1, 12), _symmetrizer_int(1, 13)
-    assert small.dtype == np.int32 and small[0, 0] == factorial(12)
-    assert large.dtype == np.int64 and large[0, 0] == factorial(13)
+
+def test_symmetrizer_at_d1_is_one():
+    # the single entry is n!/n!, also where n! outgrows int32 (13) and int64 (25)
+    for n in (0, 12, 13, 25):
+        assert np.array_equal(sym_projector_group(1, n).entries, np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(9))
+def test_type_rank_counts_enumerate_types_in_order(d, n):
+    from symsub.tensorspace import _type_rank
+
+    rows = np.array([t.entries for t in enumerate_types(d, n)])
+    assert np.array_equal(_type_rank(rows, n), np.arange(sym_dim(d, n)))
+
+
+def test_symmetrizer_3_7_traced_peak_under_48_mib():
+    # the coset cascade peaked at 75 MiB; the type build holds the 36.5 MiB
+    # result and a 4.6 MiB boolean mask
+    import tracemalloc
+
+    sym_projector_group(2, 2)  # first-call imports
+    tracemalloc.start()
+    try:
+        proj = sym_projector_group(3, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert proj.entries.shape == (2187, 2187)
+    assert peak < 48 * 2**20
 
 
 def test_tensor_power_span_rank_at_n0():
