@@ -5,19 +5,19 @@ partial trace, plus verification of the identity relating them.
 Vectorization is column-stacking throughout: vec(A) stacks the columns of A,
 so vec(AXB) = (B^T (x) A) vec(X) and a Kraus map sums conj(K) (x) K.
 
-Every channel here is a real map, so its matrix is ``float64``.  The
-``*_sym`` constructors return each channel on symmetric-subspace coordinates
-(sym_dim-sided, exactly its action on symmetric inputs, where the channel
-definitions are pinned), densified by one scatter from a real entry list
-(out_flat, in_flat, value) of type-basis multinomial amplitudes; no
-d^n-sided object is built.  The identity verifiers run there by default and
-never densify: a composition joins one list's output index to the next one's
-input index, the weighted terms are summed by np.unique + bincount, and the
-residual is the norm of the summed entries, with no BLAS call.  The plain
-constructors return the same channels on the full embedded space (d^n
-coordinates).  They, ``projection_superoperator`` and
-``compress_superoperator`` are the oracle: the tests compare the ``*_sym``
-channels against the compressed full-space ones, and
+Every channel here is a real map, so its matrix is ``float64``.  The ``*_sym``
+constructors return each channel on symmetric-subspace coordinates (sym_dim-sided,
+exactly its action on symmetric inputs, where the channel definitions are pinned),
+densified by one scatter from a real entry list (out_flat, in_flat, value) of
+type-basis multinomial amplitudes; no d^n-sided object is built.  On symmetric inputs
+the cloner n -> n+k is c = sym_dim(d,n)/sym_dim(d,n+k) times the adjoint of the partial
+trace tr_{n+k -> n}, so one split-and-join builds both lists.  The identity verifiers
+run there by default and never densify: a composition joins one list's output index
+to the next one's input index, the weighted terms are summed by np.unique + bincount,
+and the residual is the norm of the summed entries, with no BLAS call.  The plain
+constructors return the same channels on the full embedded space (d^n coordinates).
+They, ``projection_superoperator`` and ``compress_superoperator`` are the oracle: the
+tests compare the ``*_sym`` channels against the compressed full-space ones, and
 ``chiribella_sides(..., "full")`` checks the identity on the embedded space.
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import prod, sqrt
+from math import prod
 
 import numpy as np
 
@@ -196,12 +196,11 @@ def _type_split(d: int, p: int, q: int):
     b_idx = np.tile(np.arange(len(seconds)), len(firsts))
     rows = np.array([t.entries for t in firsts])[a_idx] + np.array([t.entries for t in seconds])[b_idx]
     w_idx = _type_rank(rows, p + q)
-    m_a = [multinomial(p, t) for t in firsts]
-    m_b = [multinomial(q, t) for t in seconds]
-    m_w = [multinomial(p + q, t) for t in enumerate_types(d, p + q)]
-    # exact big-int ratio, correctly rounded; it is at most 1
-    amp = [sqrt(m_a[i] * m_b[j] / m_w[c]) for i, j, c in zip(a_idx.tolist(), b_idx.tolist(), w_idx.tolist())]
-    return w_idx, a_idx, b_idx, np.array(amp)
+    m_a, m_b, m_w = (np.array([multinomial(m, t) for t in types], dtype=object)
+                     for m, types in ((p, firsts), (q, seconds), (p + q, enumerate_types(d, p + q))))
+    # each quotient is an exact big-int ratio, correctly rounded; it is at most 1
+    amp = np.sqrt((m_a[a_idx] * m_b[b_idx] / m_w[w_idx]).astype(float))
+    return w_idx, a_idx, b_idx, amp
 
 
 def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,11 +223,10 @@ def _scatter(entries, dout: int, din: int) -> Superoperator:
 
 
 def _clone_entries(d: int, n: int, k: int):
-    din, dout = sym_dim(d, n), sym_dim(d, n + k)
-    _guard_superoperator(dout, din)
-    w, a, b, amp = _type_split(d, n, k)
-    i, j = _join(b, b)
-    return w[i] + w[j] * dout, a[i] + a[j] * din, din / dout * amp[i] * amp[j]
+    if k < 0:
+        raise ValueError("need k >= 0")
+    out, inp, values = _trace_entries(d, n + k, n, sym_dim(d, n) / sym_dim(d, n + k))
+    return inp, out, values
 
 
 def _mp_entries(d: int, n: int, k: int):
@@ -239,22 +237,21 @@ def _mp_entries(d: int, n: int, k: int):
     return b[j] + b[i] * dout, a[i] + a[j] * din, din / sym_dim(d, n + k) * amp[i] * amp[j]
 
 
-def _trace_entries(d: int, n: int, k: int):
+def _trace_entries(d: int, n: int, k: int, scale: float = 1.0):
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     din, dout = sym_dim(d, n), sym_dim(d, k)
     _guard_superoperator(dout, din)
     w, a, b, amp = _type_split(d, k, n - k)
     i, j = _join(b, b)
-    return a[i] + a[j] * dout, w[i] + w[j] * din, amp[i] * amp[j]
+    return a[i] + a[j] * dout, w[i] + w[j] * din, scale * amp[i] * amp[j]
 
 
 def clone_channel_sym(d: int, n: int, k: int) -> Superoperator:
-    """The optimal n -> n+k cloner on symmetric coordinates.
-
-    Its Kraus operators depend only on the type b of the k added copies:
-    K_b |t> = sqrt(c M(n,t) / M(n+k,t+b)) |t+b>, with multiplicity M(k,b).
-    """
+    """The optimal n -> n+k cloner on symmetric coordinates: c = sym_dim(d,n)/sym_dim(d,n+k)
+    times the adjoint of the partial trace tr_{n+k -> n}, whose entry list it reuses swapped.
+    Its Kraus operators K_b |t> = sqrt(c M(n,t) / M(n+k,t+b)) |t+b>, with multiplicity
+    M(k,b), depend only on the type b of the k added copies."""
     return _scatter(_clone_entries(d, n, k), sym_dim(d, n + k), sym_dim(d, n))
 
 

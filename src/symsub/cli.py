@@ -148,11 +148,9 @@ def cmd_verify_psym(args, rep: Report) -> None:
     iso = tensorspace.type_isometry(args.d, args.n).entries
     rep.within("type_basis_agreement_frobenius", float(np.linalg.norm(iso @ iso.conj().T - mat)), 1e-12)
     gen = _stream(args).generator()
-    worst = 0.0
-    for _ in range(10):
-        images = tuple(gen.permutation(args.n))
-        pmat = tensorspace.permutation_operator(args.d, tensorspace.Permutation(images)).entries
-        worst = max(worst, float(np.abs(pmat @ mat - mat).max()))
+    # P(pi) moves row x of mat to row t[x], t its index map, so P(pi) mat - mat holds the rows of mat - mat[t]
+    perms = (tensorspace.Permutation(gen.permutation(args.n)) for _ in range(10))
+    worst = max(float(np.abs(mat - mat[tensorspace.permutation_index_map(args.d, pi)]).max()) for pi in perms)
     rep.within("permutation_invariance_max_entry", worst, 1e-12)
 
 
@@ -160,7 +158,7 @@ def cmd_verify_spans(args, rep: Report) -> None:
     from . import tensorspace
 
     expected = exactcomb.sym_dim(args.d, args.n) ** 2
-    samples = args.samples if args.samples_given else expected + 20
+    samples = expected + 20 if args.samples is None else args.samples
     rep.check("span_rank", expected, tensorspace.tensor_power_span_rank(args.d, args.n, samples, _stream(args)))
 
 
@@ -430,7 +428,8 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     copies use SUPPRESS defaults so they never clobber values parsed earlier."""
     default = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument("--seed", type=int, default=default(0), help="random seed for all sampling")
-    parser.add_argument("--samples", type=_positive_int, default=default(100_000), help="Monte Carlo sample count")
+    parser.add_argument("--samples", type=_positive_int, default=default(None),
+                        help="Monte Carlo sample count (default 100000; verify spans: sym_dim^2 + 20)")
     parser.add_argument("--tol-scale", type=_positive_finite_float, default=default(1.0),
                         help="multiply default tolerances")
     parser.add_argument("--max-dim", type=_positive_int, default=default(None),
@@ -464,10 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    args.samples_given = any(tok == "--samples" or tok.startswith("--samples=") for tok in argv)
     spec = args.spec
+    if args.samples is None and "samples" in spec.params.split():  # verify spans picks its own default
+        args.samples = 100_000
     report = Report(spec.path, args.tol_scale)
     if args.max_dim is not None:
         set_max_dim(args.max_dim)

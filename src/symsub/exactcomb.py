@@ -79,16 +79,17 @@ def enumerate_types(d: int, n: int) -> list[TypeVector]:
     """
     if d < 1:
         raise ValueError("d must be positive")
-    out: list[TypeVector] = []
+    return _append_types([], (), n, d)
 
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            out.append(TypeVector(prefix + (remaining,)))
-            return
+
+def _append_types(out: list[TypeVector], prefix: tuple[int, ...], remaining: int, slots: int) -> list[TypeVector]:
+    """Append each type extending prefix by `slots` counts summing to `remaining`; return out.
+    Not a closure: a self-calling closure keeps out alive in a reference cycle."""
+    if slots == 1:
+        out.append(TypeVector(prefix + (remaining,)))
+    else:
         for first in range(remaining, -1, -1):
-            rec(prefix + (first,), remaining - first, slots - 1)
-
-    rec((), n, d)
+            _append_types(out, prefix + (first,), remaining - first, slots - 1)
     return out
 
 

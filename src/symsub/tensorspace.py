@@ -201,12 +201,13 @@ def sym_projector_group(d: int, n: int) -> Operator:
 
     Read off the string types: the group average is sum_t |t><t| over the type
     states, so entry [x, y] is 1/M(n, t) when strings x and y share type t and 0
-    otherwise.  1/M(n, t) is a correctly rounded quotient of Python ints.
+    otherwise.  1/M(n, t), a correctly rounded quotient of Python ints, fills each type's block.
     """
     guard_dimension(d**n)
     cols, types = _string_types(d, n)
-    weights = np.array([1 / multinomial(n, t) for t in types.tolist()])
-    mat = np.where(cols[:, None] == cols, weights[cols][:, None], 0.0)
+    mat = np.zeros((d**n, d**n))
+    for col, t in enumerate(types.tolist()):
+        mat[np.ix_(cols == col, cols == col)] = 1 / multinomial(n, t)
     return Operator(mat, copy_dims(d, n), copy_dims(d, n))
 
 

@@ -338,8 +338,8 @@ def test_symmetrizer_beyond_int64_is_a_size_refusal(capsys):
     code, out, err = _run(capsys, ["--max-dim", "3000000", "verify", "psym", "--d", "2", "--n", "21"])
     assert code == 3 and out == ""
     assert err == (
-        "dimension guard: Unable to allocate 4.00 TiB for an array with shape "
-        "(2097152, 2097152) and data type bool\n"
+        "dimension guard: Unable to allocate 32.0 TiB for an array with shape "
+        "(2097152, 2097152) and data type float64\n"
     )
 
 
@@ -348,3 +348,22 @@ def test_spans_beyond_memory_is_a_size_refusal(capsys):
     code, out, err = _run(capsys, ["verify", "spans", "--d", "2", "--n", "2", "--samples", "100000000000"])
     assert code == 3 and out == ""
     assert err.startswith("dimension guard: Unable to allocate ")
+
+
+@pytest.mark.parametrize("flag", ["--sample", "--sampl"])
+def test_abbreviated_samples_flag_is_the_samples_flag(capsys, flag):
+    # argparse accepts an unambiguous prefix; the sample count must come from it too
+    spans = ["verify", "spans", "--d", "2", "--n", "2"]
+    short = _run(capsys, spans + [flag, "3"])
+    assert short == _run(capsys, spans + ["--samples", "3"])
+    assert short[0] == 2 and "need at least 14 samples" in short[2]
+    code, doc = _json_run(capsys, spans + [flag, "30"])
+    _, full = _json_run(capsys, spans + ["--samples", "30"])
+    assert code == 0
+    assert {**doc, "elapsed_ms": 0} == {**full, "elapsed_ms": 0}
+
+
+def test_samples_default_is_resolved_per_command(capsys):
+    # a command that reports its sample count samples 100000 times by default
+    code, doc = _json_run(capsys, ["mc", "moment", "--D", "4", "--r", "2", "--n", "1"])
+    assert code == 0 and doc["params"]["samples"] == 100000

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from symsub.channels import (
+    _clone_entries,
+    _trace_entries,
     _type_split,
     chiribella_sides,
     clone_channel,
@@ -202,3 +204,31 @@ def test_chiribella_sums_one_term_at_a_time():
         tracemalloc.stop()
     assert residual <= 1e-10
     assert peak < 48 * 2**20
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("k", range(6))
+def test_clone_entries_are_the_scaled_trace_entries_swapped(d, n, k):
+    # Werner's cloner is c times the adjoint of tr_{n+k -> n} on symmetric inputs
+    out, inp, values = _clone_entries(d, n, k)
+    tr_out, tr_in, tr_values = _trace_entries(d, n + k, n)
+    assert np.array_equal(out, tr_in) and np.array_equal(inp, tr_out)
+    c = sym_dim(d, n) / sym_dim(d, n + k)
+    assert np.allclose(values, c * tr_values, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("d,n,k", [(d, n, k) for d in range(1, 4) for n in range(4) for k in range(4)
+                                   if d ** (n + k) <= 27])
+def test_full_cloner_is_scaled_projected_trace_adjoint(d, n, k):
+    # c Pi (rho (x) I^k) Pi: the adjoint of the partial trace, then the projection
+    c = sym_dim(d, n) / sym_dim(d, n + k)
+    adjoint = projection_superoperator(d, n + k).matrix @ trace_channel(d, n + k, n).matrix.T
+    assert np.abs(clone_channel(d, n, k).matrix - c * adjoint).max() <= 1e-14
+
+
+def test_clone_entries_refuse_negative_k():
+    with pytest.raises(ValueError, match="need k >= 0"):
+        _clone_entries(2, 3, -1)
+    with pytest.raises(ValueError, match="need k >= 0"):
+        clone_channel_sym(2, 3, -4)

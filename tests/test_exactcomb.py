@@ -126,3 +126,30 @@ def test_real_moment_ratio():
     assert real_moment_ratio(2, 1) == Fraction(1, 2)
     assert real_moment_ratio(3, 2) == Fraction(1, 15)
     assert real_moment_ratio(4, 3) == Fraction(1, 4 * 6 * 8)
+
+
+def test_enumerate_types_frees_its_list_without_the_collector():
+    # a self-calling closure kept the list in a reference cycle: at (64, 2)
+    # 1.38 MB stayed allocated until the garbage collector ran.  What stays
+    # now is held by the interpreter's free lists, about 46 kB.
+    import gc
+    import tracemalloc
+    import weakref
+
+    enumerate_types(64, 2)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        types = enumerate_types(64, 2)
+        assert len(types) == sym_dim(64, 2)
+        first = weakref.ref(types[0])
+        del types
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert first() is None
+    assert after - before < 2**18

@@ -327,3 +327,32 @@ def test_dense_builder_results_are_private(build):
     assert first.entries.flags.writeable
     first.entries[:] = 7.0
     assert np.array_equal(build(3, 3).entries, expected)
+
+
+def test_symmetrizer_3_7_traced_peak_under_38_mib():
+    # the 2187 x 2187 float64 result is 36.5 MiB; a boolean mask of the same
+    # side beside it took the peak to 41.1 MiB
+    import tracemalloc
+
+    sym_projector_group(2, 2)  # first-call imports
+    tracemalloc.start()
+    try:
+        proj = sym_projector_group(3, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert proj.entries.shape == (2187, 2187)
+    assert peak < 38 * 2**20
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 3)])
+def test_index_map_rows_match_permutation_product(d, n):
+    # P(pi) moves row x to row t[x] exactly, so verify psym's invariance residual
+    # P(pi) mat - mat is mat - mat[t] with its rows reordered by t
+    from symsub.tensorspace import permutation_index_map
+
+    mat = sym_projector_group(d, n).entries + np.arange((d**n) ** 2).reshape(d**n, d**n)
+    for pi in all_permutations(n):
+        t = permutation_index_map(d, pi)
+        dense = permutation_operator(d, pi).entries @ mat - mat
+        assert np.array_equal(dense[t], mat - mat[t])
