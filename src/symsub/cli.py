@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import concentration, definetti, exactcomb
-from .guards import DimensionGuardError, set_max_dim
+from .guards import DimensionGuardError, guard_matchings, set_max_dim
 
 if TYPE_CHECKING:
     from .randomness import RngStream
@@ -190,6 +190,7 @@ def cmd_verify_wick(args, rep: Report) -> None:
     if args.field == "complex":
         exact = randomness.complex_gaussian_moment_operator(args.d, args.n)
     else:
+        guard_matchings(args.n)  # keeps the n <= 6 cap: the check below builds n! pairs of dense operators
         exact = randomness.real_gaussian_moment_operator(args.d, args.n)
         worst = 0.0
         for pi in tensorspace.all_permutations(args.n):

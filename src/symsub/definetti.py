@@ -139,16 +139,13 @@ def exp_definetti_identity_check(d: int, n: int, k: int, r: int) -> bool:
 @dataclass(frozen=True)
 class CoefficientBoundsReport:
     applicable: bool
-    delta: Fraction
-    x_bounds_ok: bool
-    y_bounds_ok: bool
     x_details: tuple[tuple[int, Fraction, Fraction, bool], ...]
     y_details: tuple[tuple[int, Fraction, Fraction, bool], ...]
     truncation_tail: Fraction
 
     @property
     def passed(self) -> bool:
-        return (not self.applicable) or (self.x_bounds_ok and self.y_bounds_ok)
+        return not self.applicable or all(ok for *_, ok in self.x_details + self.y_details)
 
 
 def check_coefficient_bounds(c: DeFinettiCoefficients) -> CoefficientBoundsReport:
@@ -161,10 +158,7 @@ def check_coefficient_bounds(c: DeFinettiCoefficients) -> CoefficientBoundsRepor
     delta = c.delta
     tail = sum((abs(v) for v in c.y), Fraction(0))
     if delta >= 1:
-        return CoefficientBoundsReport(
-            applicable=False, delta=delta, x_bounds_ok=True, y_bounds_ok=True,
-            x_details=(), y_details=(), truncation_tail=tail,
-        )
+        return CoefficientBoundsReport(applicable=False, x_details=(), y_details=(), truncation_tail=tail)
     x_details = []
     for s, xs in enumerate(c.x):
         bound = (2 * delta) ** s / (1 - delta)
@@ -175,13 +169,7 @@ def check_coefficient_bounds(c: DeFinettiCoefficients) -> CoefficientBoundsRepor
         bound = Fraction(2) ** c.r * delta**s
         y_details.append((s, abs(ys), bound, abs(ys) <= bound))
     return CoefficientBoundsReport(
-        applicable=True,
-        delta=delta,
-        x_bounds_ok=all(row[3] for row in x_details),
-        y_bounds_ok=all(row[3] for row in y_details),
-        x_details=tuple(x_details),
-        y_details=tuple(y_details),
-        truncation_tail=tail,
+        applicable=True, x_details=tuple(x_details), y_details=tuple(y_details), truncation_tail=tail
     )
 
 

@@ -268,17 +268,18 @@ class Matching:
 def enumerate_matchings(n: int) -> list[Matching]:
     """All (2n-1)!! perfect matchings of {0,...,2n-1}, deterministic order."""
     guard_matchings(n)
-    out: list[Matching] = []
+    return _append_matchings([], tuple(range(2 * n)), ())
 
-    def rec(unmatched: tuple[int, ...], acc: tuple[tuple[int, int], ...]):
-        if not unmatched:
-            out.append(Matching(acc))
-            return
+
+def _append_matchings(out: list[Matching], unmatched: tuple[int, ...], acc: tuple[tuple[int, int], ...]) -> list[Matching]:
+    """Append each matching that extends the pairs acc by pairing up unmatched; return out.
+    Not a closure: a self-calling closure keeps out alive in a reference cycle."""
+    if not unmatched:
+        out.append(Matching(acc))
+    else:
         first, rest = unmatched[0], unmatched[1:]
         for pos, partner in enumerate(rest):
-            rec(rest[:pos] + rest[pos + 1:], acc + ((first, partner),))
-
-    rec(tuple(range(2 * n)), ())
+            _append_matchings(out, rest[:pos] + rest[pos + 1:], acc + ((first, partner),))
     return out
 
 

@@ -367,3 +367,19 @@ def test_samples_default_is_resolved_per_command(capsys):
     # a command that reports its sample count samples 100000 times by default
     code, doc = _json_run(capsys, ["mc", "moment", "--D", "4", "--r", "2", "--n", "1"])
     assert code == 0 and doc["params"]["samples"] == 100000
+
+
+def test_real_wick_check_keeps_the_matching_cap(capsys):
+    # its matching-versus-permutation check builds n! pairs of dense operators
+    code, out, err = _run(capsys, ["verify", "wick", "--field", "real", "--d", "2", "--n", "7"])
+    assert code == 3 and out == ""
+    assert err == (
+        "dimension guard: refusing to enumerate perfect matchings of [2*7] "
+        "((2n-1)!! elements; cap n <= 6)\n"
+    )
+
+
+def test_real_unit_meanpower_runs_past_the_matching_cap(capsys):
+    argv = ["mc", "meanpower", "--dist", "real-unit", "--d", "2", "--n", "7", "--samples", "20000"]
+    code, doc = _json_run(capsys, argv)
+    assert code == 0 and doc["verdict"] == "pass"

@@ -357,3 +357,36 @@ def test_mp_remainder_within_one_ulp_of_its_complex_build(d, n, k):
     old = (mp.astype(complex) - float(m_kk) * tr.astype(complex)) / float(1 - m_kk)
     assert np.all(np.abs(new - old.real) <= np.spacing(np.abs(new)))
     assert not old.imag.any()
+
+
+def _matching_loop(d, n):
+    # Wick's sum written out: every perfect matching's operator, added in enumeration order
+    acc = None
+    for matching in enumerate_matchings(n):
+        term = matching_operator(d, n, matching).entries
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+@pytest.mark.parametrize("d,n", DN + [(1, 6), (2, 6)])
+def test_matching_sum_is_the_matching_loop_bit_for_bit(d, n):
+    acc = _matching_loop(d, n)
+    _assert_same_bits(_matching_sum(d, n), acc)
+    _assert_same_bits(real_gaussian_moment_operator(d, n).entries, acc / d**n)
+    _assert_same_bits(real_unit_moment_operator(d, n).entries, acc * float(real_moment_ratio(d, n)))
+
+
+@pytest.mark.parametrize("d,n", [(2, 7), (2, 8), (2, 9), (2, 10), (3, 7), (8, 4)])
+def test_matching_sum_beyond_the_matching_cap_keeps_its_exact_traces(d, n):
+    # tr sum_M sigma_M = d (d+2) ... (d+2n-2), and tracing out the last copy
+    # leaves (d + 2n - 2) times the sum for n - 1, both in exact integer floats
+    acc = _matching_sum(d, n)
+    assert np.trace(acc) == np.prod([d + 2 * i for i in range(n)], dtype=float)
+    traced = partial_trace(Operator(acc, (d,) * n, (d,) * n), range(n - 1)).entries
+    assert np.array_equal(traced, (d + 2 * n - 2) * _matching_sum(d, n - 1))
