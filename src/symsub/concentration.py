@@ -312,14 +312,15 @@ def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStr
     largest squared Schmidt coefficient against the bound
     Pr[lambda_max >= (16/(e d)) e^eps] <= e^(-d eps).
 
-    The states stream through ``haar_state_chunks``: the memory held is a few
+    The states stream through ``haar_state_chunks`` and the blocks run through
+    ``randomness._map_blocks``: each of its (at most two) threads holds a few
     chunks (about four ``CHUNK_BYTES`` with the real-part scratch buffer) plus
     8 min(BLOCK_SIZE, samples) bytes of lambda_max values, whatever d, and the
     report is bit-identical to SVDs of whole ``haar_state_batch`` blocks.
     """
     import numpy as np
 
-    from .randomness import BLOCK_SIZE, _blocks, chunk_rows, haar_state_chunks
+    from .randomness import BLOCK_SIZE, _map_blocks, chunk_rows, haar_state_chunks
 
     if d < 1:
         raise ValueError("d must be positive")
@@ -332,16 +333,24 @@ def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStr
         threshold = 16.0 / (np.e * d) * exp(epsilon)
     except OverflowError:  # no squared Schmidt coefficient (at most 1) reaches it
         threshold = inf
-    real = np.empty((min(chunk_rows(d * d), samples), d * d))
-    lam = np.empty(min(BLOCK_SIZE, samples))
-    exceed = 0
-    top_sum = 0.0
-    for block, size in _blocks(samples):
-        for start, psi in haar_state_chunks(d * d, stream.block_generator(block), size, real):
+    block_rows = min(BLOCK_SIZE, samples)
+    shape = (min(chunk_rows(d * d), block_rows), d * d)
+
+    def scratch() -> tuple[np.ndarray, ...]:
+        return np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex), np.empty(block_rows)
+
+    def block_tail(block: int, size: int, buffers: tuple[np.ndarray, ...]) -> tuple[int, float]:
+        real, imag, z, lam = buffers
+        for start, psi in haar_state_chunks(d * d, stream.block_generator(block), size, real, imag, z):
             svals = np.linalg.svd(psi.reshape(-1, d, d), compute_uv=False)
             np.square(svals[:, 0], out=lam[start : start + len(psi)])
-        exceed += int(np.sum(lam[:size] >= threshold))
-        top_sum += float(lam[:size].sum())
+        return int(np.sum(lam[:size] >= threshold)), float(lam[:size].sum())
+
+    exceed = 0
+    top_sum = 0.0
+    for count, lam_sum in _map_blocks(block_tail, samples, scratch):
+        exceed += count
+        top_sum += lam_sum
     return SchmidtTailReport(
         d=d, samples=samples, epsilon=epsilon, threshold=threshold,
         exceedances=exceed, fraction=exceed / samples, bound=exp(-d * epsilon),
@@ -399,13 +408,18 @@ def experiment_product_free(
     claim."""
     from .randomness import random_projector
 
+    restart_base = max(trials, 10_000)  # restart streams start past every projector stream
+    last = restart_base + trials - 1
+    try:  # refused before the first trial, not after the others
+        stream.split(last)
+    except ValueError as exc:
+        raise ValueError(f"{trials} trials take stream split index {last}: {exc}") from None
     met = product_state_threshold(part, rank)
     overlaps: list[float] = []
     if met:
         for t in range(trials):
             proj = random_projector(part.total, rank, stream.split(t))
-            # restart streams start past every projector stream, so none is drawn twice
-            overlaps.append(nu_max(proj, part, restarts=restarts, stream=stream.split(max(trials, 10_000) + t)))
+            overlaps.append(nu_max(proj, part, restarts=restarts, stream=stream.split(restart_base + t)))
     return ProductFreeReport(
         dims=part.dims, rank=rank, threshold_met=met, trials=trials if met else 0,
         overlaps=tuple(overlaps), max_overlap=max(overlaps) if overlaps else 0.0,
