@@ -21,14 +21,15 @@ import time
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import concentration, definetti, exactcomb
+from . import exactcomb
 from .guards import DimensionGuardError, guard_matchings, set_max_dim
 
 if TYPE_CHECKING:
     from .randomness import RngStream
 
-# numpy and the dense modules (tensorspace, channels, randomness) load inside
-# the handlers that use them, so the exact commands never import numpy
+# every other module loads inside the handlers that use it: the exact commands
+# never import numpy, and dims, coeffs, verify jacobi and verify commutant-dim
+# never import dataclasses (concentration and definetti declare dataclasses)
 
 SCHEMA_VERSION = 1
 
@@ -209,6 +210,8 @@ def cmd_verify_wick(args, rep: Report) -> None:
 
 
 def cmd_definetti_eps(args, rep: Report) -> None:
+    from . import definetti
+
     eps = definetti.definetti_epsilon(args.d, args.n, args.k)
     rep.check("epsilon", eps, eps)
     rep.check("epsilon_at_most_one", True, eps <= 1, passed=True)  # informational flag
@@ -218,6 +221,8 @@ def cmd_definetti_eps(args, rep: Report) -> None:
 
 
 def cmd_definetti_coeffs(args, rep: Report) -> None:
+    from . import definetti
+
     if args.r is None:
         args.r = args.k
     coeffs = definetti.exp_definetti_coefficients(args.d, args.n, args.k, args.r)
@@ -238,10 +243,14 @@ def cmd_definetti_coeffs(args, rep: Report) -> None:
 
 
 def cmd_verify_expdefinetti(args, rep: Report) -> None:
+    from . import definetti
+
     rep.within("inversion_identity_frobenius", definetti.verify_exp_definetti(args.d, args.n, args.k), 1e-10)
 
 
 def cmd_bound_tail(args, rep: Report) -> None:
+    from . import concentration
+
     part = concentration.MultiPartition(_parse_dims(args.dims))
     result = concentration.tail_bound(part, args.r, args.gamma, args.nmax)
     rep.table("per_n", ["n", "bound"], [[n, float(v)] for n, v in result.per_n])
@@ -251,6 +260,8 @@ def cmd_bound_tail(args, rep: Report) -> None:
 
 
 def cmd_bound_smoothgap(args, rep: Report) -> None:
+    from . import concentration
+
     result = concentration.smooth_gap_bound(args.d, args.x)
     rep.check("rank", result.rank, result.rank)
     rep.check("gamma", result.gamma, result.gamma)
@@ -269,6 +280,8 @@ def cmd_mc_moment(args, rep: Report) -> None:
 
 
 def cmd_mc_schmidt(args, rep: Report) -> None:
+    from . import concentration
+
     result = concentration.experiment_schmidt_tail(args.d, args.samples, args.eps, _stream(args))
     rep.check("exceedance_fraction", 0.0, result.fraction, tolerance=result.bound, passed=result.passed)
     rep.check("mean_top_schmidt", result.mean_top_schmidt, result.mean_top_schmidt)
@@ -276,6 +289,8 @@ def cmd_mc_schmidt(args, rep: Report) -> None:
 
 
 def cmd_mc_productfree(args, rep: Report) -> None:
+    from . import concentration
+
     part = concentration.MultiPartition(_parse_dims(args.dims))
     result = concentration.experiment_product_free(part, args.r, args.restarts, _stream(args), trials=args.trials)
     rep.check("dimension_threshold_met", result.threshold_met, result.threshold_met)

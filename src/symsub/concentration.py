@@ -8,11 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import exp, inf, log, prod
+from math import exp, inf, log, log2, prod
 from typing import TYPE_CHECKING
 
 from .exactcomb import sym_dim
-from .guards import guard_dimension, guard_power_bits
+from .guards import POWER_BITS_CAP, DimensionGuardError, guard_dimension, guard_power_bits
 
 if TYPE_CHECKING:
     from .randomness import RngStream
@@ -249,7 +249,9 @@ def smooth_gap_bound(d: int, x: int) -> SmoothGapResult:
     """Near-critical-rank tail evaluation on C^d (x) C^d.
 
     rank = d^2 - 2(d-1) - x, n = d^(2 + 2d/x), gamma = 1 - 1/n; evaluates the
-    single-n tail term exactly and compares it against d^-d.
+    single-n tail term exactly and compares it against d^-d.  Once n passes
+    2^1023 (from d = 80 at x = 1) it is refused before the float power
+    d^(2 + 2d/x) would overflow: gamma^n alone then has more than 2^1023 bits.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -257,6 +259,12 @@ def smooth_gap_bound(d: int, x: int) -> SmoothGapResult:
     if rank < 1:
         raise ValueError(f"rank {rank} < 1 for (d, x)=({d}, {x})")
     exponent = 2 + 2 * d / x
+    log2_n = exponent * log2(d)
+    if log2_n >= 1023:
+        raise DimensionGuardError(
+            f"refusing the tail term at n = {d}^{exponent:g}, about 2^{log2_n:.0f}: gamma^n would have "
+            f"more than 2^1023 bits (cap {POWER_BITS_CAP} bits)"
+        )
     n = int(round(d**exponent))
     gamma = 1 - Fraction(1, n)
     part = MultiPartition((d, d))

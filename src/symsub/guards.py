@@ -8,6 +8,7 @@ from fractions import Fraction
 DEFAULT_MAX_DIM = 2**14
 PERMUTATION_ENUMERATION_CAP = 9  # largest n for which all of S_n is listed
 PARTITION_ENUMERATION_CAP = 60   # largest n whose partitions are listed: p(60) <= 10**6 < p(61)
+TYPE_ENUMERATION_CAP = 2**22     # most occupation counts, sym_dim(d, n) * d, in one list of types
 MATCHING_ENUMERATION_CAP = 6     # largest n for which matchings of [2n] are listed
 POWER_BITS_CAP = 2**26           # most bits, n * max(bit_length), of an exact power x^n
 
@@ -62,6 +63,16 @@ def guard_partitions(n: int) -> None:
         raise DimensionGuardError(
             f"refusing to enumerate the partitions of {n} "
             f"(more than 10**6 of them; cap n <= {PARTITION_ENUMERATION_CAP})"
+        )
+
+
+def guard_types(d: int, n: int, count: int) -> None:
+    """Refuse to list the count = sym_dim(d, n) types of (d, n) when they hold
+    more than TYPE_ENUMERATION_CAP occupation counts."""
+    if count * d > TYPE_ENUMERATION_CAP:
+        raise DimensionGuardError(
+            f"refusing to enumerate the {count} types of (d, n) = ({d}, {n}) "
+            f"({count * d} occupation counts; cap {TYPE_ENUMERATION_CAP})"
         )
 
 

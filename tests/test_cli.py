@@ -383,3 +383,12 @@ def test_real_unit_meanpower_runs_past_the_matching_cap(capsys):
     argv = ["mc", "meanpower", "--dist", "real-unit", "--d", "2", "--n", "7", "--samples", "20000"]
     code, doc = _json_run(capsys, argv)
     assert code == 0 and doc["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("d", ["79", "80", "81"])
+def test_bound_smoothgap_past_float_range_exits_3(capsys, d):
+    code, out, err = _run(capsys, ["bound", "smoothgap", "--d", d, "--x", "1"])
+    assert code == 3 and out == ""
+    assert err.startswith("dimension guard: refusing ") and err.count("\n") == 1
+    if d != "79":
+        assert err.startswith(f"dimension guard: refusing the tail term at n = {d}^")

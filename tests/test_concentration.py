@@ -351,3 +351,16 @@ def test_product_free_restart_streams_miss_the_projector_streams(monkeypatch):
     assert report.trials == trials
     assert len(set(projector_streams)) == len(set(restart_streams)) == trials
     assert not set(projector_streams) & set(restart_streams)
+
+
+@pytest.mark.parametrize("d, n_text", [(80, "80^162, about 2^1024"), (81, "81^164, about 2^1040")])
+def test_smooth_gap_refuses_n_beyond_float_range(d, n_text):
+    # d^(2 + 2d) overflows a float from d = 80: refused before the power, not an OverflowError
+    import re
+
+    from symsub.guards import DimensionGuardError
+
+    with pytest.raises(DimensionGuardError, match=re.escape(f"refusing the tail term at n = {n_text}: gamma^n")):
+        smooth_gap_bound(d, 1)
+    with pytest.raises(DimensionGuardError, match="refusing to compute an exact power"):
+        smooth_gap_bound(79, 1)  # the last d whose n is a float, refused by the power-bits guard

@@ -153,3 +153,86 @@ def test_enumerate_types_frees_its_list_without_the_collector():
             gc.enable()
     assert first() is None
     assert after - before < 2**18
+
+
+def test_type_vector_equality_hash_and_iteration():
+    t = TypeVector((2, 0, 1))
+    assert t == TypeVector((2, 0, 1)) and hash(t) == hash(TypeVector((2, 0, 1)))
+    assert t != TypeVector((1, 0, 2)) and len({t, TypeVector((2, 0, 1)), TypeVector((0, 2, 1))}) == 2
+    assert t != (2, 0, 1) and (2, 0, 1) != t  # equal only to another TypeVector
+    assert t.entries == (2, 0, 1) and t.d == 3 and t.total == 3
+    assert list(t) == [2, 0, 1] and len(t) == 3
+    assert repr(t) == "TypeVector(entries=(2, 0, 1))"
+    assert multinomial(3, t) == 3 == multinomial(3, t.entries)
+    with pytest.raises(ValueError, match="sum to 3, expected 4"):
+        multinomial(4, t)
+
+
+def test_type_vector_is_immutable_and_weakly_referenceable():
+    import copy
+    import pickle
+    import weakref
+
+    t = TypeVector((1, 1))
+    with pytest.raises(AttributeError):
+        t.entries = (2, 0)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    with pytest.raises(AttributeError):
+        del t.entries
+    assert t.entries == (1, 1)
+    ref = weakref.ref(t)
+    assert ref() is t
+    assert copy.copy(t) == t and copy.deepcopy(t) == t and pickle.loads(pickle.dumps(t)) == t
+    del t
+    assert ref() is None
+
+
+def test_type_vector_validation_messages():
+    with pytest.raises(ValueError, match="^type vector needs at least one entry$"):
+        TypeVector(())
+    with pytest.raises(ValueError, match="^occupation counts must be nonnegative$"):
+        TypeVector((1, -1))
+
+
+def test_enumerate_types_refuses_a_list_over_the_cap_before_building_it():
+    # every input here just over the cap would build at most a few hundred MB
+    # without the guard: a failing guard fails the test, not the machine
+    import time
+
+    from symsub.guards import TYPE_ENUMERATION_CAP, DimensionGuardError, guard_types
+
+    # the largest list in the tests, (64, 2), is far inside the cap
+    assert sym_dim(64, 2) * 64 <= TYPE_ENUMERATION_CAP
+    half = TYPE_ENUMERATION_CAP // 2
+    guard_types(2, half - 1, half)  # exactly the cap: admitted
+    with pytest.raises(DimensionGuardError, match=r"refusing to enumerate the 59132290782430712 types"):
+        guard_types(30, 30, sym_dim(30, 30))
+    start = time.perf_counter()
+    with pytest.raises(DimensionGuardError, match=rf"types of \(d, n\) = \(2, {half}\) .*cap {TYPE_ENUMERATION_CAP}"):
+        enumerate_types(2, half)
+    with pytest.raises(DimensionGuardError, match=r"the 1 types of \(d, n\) = \(8388608, 0\)"):
+        enumerate_types(2 * TYPE_ENUMERATION_CAP, 0)  # one type, but of 2^23 counts
+    assert time.perf_counter() - start < 1.0
+    assert enumerate_types(7, 0) == [TypeVector((0,) * 7)]
+
+
+def test_dims_command_exits_3_on_an_oversized_type_list(capsys):
+    # (2049, 1), just over the cap, stands for dims --d 30 --n 30, which
+    # unguarded would list 5.9e16 types
+    from symsub.cli import main
+
+    assert main(["dims", "--d", "2049", "--n", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dimension guard: refusing to enumerate the 2049 types of (d, n) = (2049, 1)")
+    assert main(["dims", "--d", "2048", "--n", "1"]) == 0  # exactly the cap
+    assert '"actual": 2048' in capsys.readouterr().out
+
+
+def test_enumerate_types_lists_a_thousand_letters_without_recursing():
+    # a recursion one level per letter stopped at d ~ 1000 with RecursionError
+    types = enumerate_types(1500, 1)
+    assert [t.entries.index(1) for t in types] == list(range(1500))
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        enumerate_types(3, -1)

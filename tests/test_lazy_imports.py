@@ -5,6 +5,8 @@ access.  The exact commands of the CLI, and the modules they use (exactcomb,
 guards, definetti, concentration), must run in an interpreter where numpy
 cannot be imported at all: the subprocess below sets
 ``sys.modules["numpy"] = None``, so any import of numpy raises ImportError.
+The cold path, ``import symsub; symsub.sym_dim(...)``, and the commands that
+use only exactcomb likewise run with ``dataclasses`` blocked.
 """
 
 import importlib
@@ -34,12 +36,15 @@ EXACT_COMMANDS = [
     "bound smoothgap --d 2 --x 1",
 ]
 
-# run in a fresh interpreter that cannot import numpy; prints one JSON object
-NUMPY_BLOCKED = """
+# commands that load only exactcomb and guards
+EXACTCOMB_COMMANDS = EXACT_COMMANDS[:4]
+
+# run in a fresh interpreter, with modules blocked by _python; prints one JSON object
+RUN_COMMANDS = """
 import contextlib, io, json, sys
-sys.modules["numpy"] = None
 import symsub
 value = symsub.sym_dim(2, 3)
+cold_modules = sorted(m for m in sys.modules if m.startswith("symsub."))
 from symsub.cli import main
 runs = {}
 for argv in json.loads(sys.argv[1]):
@@ -48,15 +53,36 @@ for argv in json.loads(sys.argv[1]):
         code = main(argv.split())
     runs[argv] = [code, out.getvalue()]
 dense = sorted(m for m in ("tensorspace", "channels", "randomness") if "symsub." + m in sys.modules)
-print(json.dumps({"sym_dim": value, "runs": runs, "dense_modules": dense}))
+print(json.dumps({
+    "sym_dim": value, "runs": runs, "dense_modules": dense, "cold_modules": cold_modules,
+    "symsub_modules": sorted(m for m in sys.modules if m.startswith("symsub.")),
+}))
+"""
+
+# prepended by _python: refuses to run if a blocked module is already loaded
+BLOCK = """
+import sys
+preloaded = [m for m in {blocked!r} if m in sys.modules]
+if preloaded:
+    sys.exit("preloaded at startup: " + ", ".join(preloaded))
+for m in {blocked!r}:
+    sys.modules[m] = None  # any import of m now raises ImportError
 """
 
 
-def _python(program: str, *args: str) -> subprocess.CompletedProcess:
+def _python(program: str, *args: str, blocked: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """Run program in a fresh interpreter on this source tree, with each module
+    in blocked made unimportable; skips the test if the interpreter already
+    imported one of them at startup (through site, say)."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run(
+    if blocked:
+        program = BLOCK.format(blocked=list(blocked)) + program
+    proc = subprocess.run(
         [sys.executable, "-c", program, *args], capture_output=True, text=True, env=env, timeout=120
     )
+    if proc.returncode == 1 and proc.stderr.startswith("preloaded at startup: "):
+        pytest.skip(proc.stderr.strip())
+    return proc
 
 
 def _mask_elapsed(text: str) -> str:
@@ -64,7 +90,7 @@ def _mask_elapsed(text: str) -> str:
 
 
 def test_exact_commands_run_without_numpy(capsys):
-    proc = _python(NUMPY_BLOCKED, json.dumps(EXACT_COMMANDS))
+    proc = _python(RUN_COMMANDS, json.dumps(EXACT_COMMANDS), blocked=("numpy",))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["sym_dim"] == 4
@@ -75,6 +101,31 @@ def test_exact_commands_run_without_numpy(capsys):
         assert main(argv.split()) == 0
         assert code == 0, argv
         assert _mask_elapsed(out) == _mask_elapsed(capsys.readouterr().out), argv
+
+
+def test_cold_path_and_exactcomb_commands_run_without_dataclasses(capsys):
+    program = RUN_COMMANDS + (
+        "types = symsub.enumerate_types(2, 2)\n"
+        "print(json.dumps([[t.entries, t.d, t.total] for t in types] + [symsub.TypeVector((1, 2)).total]))\n"
+    )
+    proc = _python(program, json.dumps(EXACTCOMB_COMMANDS), blocked=("dataclasses",))
+    assert proc.returncode == 0, proc.stderr
+    report, types = proc.stdout.splitlines()
+    result = json.loads(report)
+    assert result["sym_dim"] == 4
+    assert result["cold_modules"] == ["symsub.exactcomb", "symsub.guards"]
+    assert result["symsub_modules"] == ["symsub.cli", "symsub.exactcomb", "symsub.guards"]
+    assert json.loads(types) == [[[2, 0], 2, 2], [[1, 1], 2, 2], [[0, 2], 2, 2], 3]
+    for argv in EXACTCOMB_COMMANDS:
+        code, out = result["runs"][argv]
+        assert main(argv.split()) == 0
+        assert code == 0, argv
+        assert _mask_elapsed(out) == _mask_elapsed(capsys.readouterr().out), argv
+
+
+def test_blocked_module_raises_import_error():
+    proc = _python("import dataclasses", blocked=("dataclasses",))
+    assert proc.returncode == 1 and "import of dataclasses halted" in proc.stderr
 
 
 def test_import_symsub_loads_no_submodule():
