@@ -125,10 +125,11 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def cmd_dims(args, rep: Report) -> None:
+    count = len(exactcomb.enumerate_types(args.d, args.n))  # its guard refuses before factorial(n) below
     value = exactcomb.sym_dim(args.d, args.n)
     rep.check("sym_dim", value, value)
     rep.check("rising_factorial_form", Fraction(value), exactcomb.rising_factorial_dim(args.d, args.n))
-    rep.check("type_count", value, len(exactcomb.enumerate_types(args.d, args.n)))
+    rep.check("type_count", value, count)
 
 
 def cmd_coeffs(args, rep: Report) -> None:

@@ -57,7 +57,7 @@ def _partition_operator(op: Operator, part: MultiPartition) -> Operator:
 
 def mu_exact(op: Operator, part: MultiPartition, n: int) -> float:
     """n-th moment E (tr P (phi_1 x ... x phi_k))^n over independent Haar
-    product states, evaluated exactly via per-system symmetric projectors.
+    product states, evaluated exactly via per-system Haar moments.
 
     Equals tr[P^(x n) W^dag ((x)_i Pi_sym^(d_i,n)/sym_dim) W] with W the
     copy/system interleaving permutation; W enters only as an axis transpose and
@@ -67,15 +67,13 @@ def mu_exact(op: Operator, part: MultiPartition, n: int) -> float:
     """
     import numpy as np
 
-    from .tensorspace import sym_projector_group
+    from .randomness import haar_moment_operator
 
     op = _partition_operator(op, part)
     dims = part.dims
     total = part.total
     guard_dimension(total**n, "moment matrix")
-    moments = [
-        sym_projector_group(d, n).entries / sym_dim(d, n) for d in dims
-    ]
+    moments = [haar_moment_operator(d, n).entries for d in dims]
     # the kron is system-major, one axis per (system i, copy c) at i*n + c;
     # a single transpose regroups rows and columns copy-major at c*k + i
     order = [i * n + c for c in range(n) for i in range(part.parties)]
@@ -217,14 +215,9 @@ def tail_bound(part: MultiPartition, rank: int, gamma, n_max: int = 64) -> TailB
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     g = Fraction(gamma)
-    per = []
-    best_n, best = 1, None
-    for n in range(1, n_max + 1):
-        value = tail_bound_term(part, rank, g, n)
-        per.append((n, value))
-        if best is None or value < best:
-            best, best_n = value, n
-    return TailBoundResult(gamma=g, n_star=best_n, bound=best, per_n=tuple(per))
+    per = tuple((n, tail_bound_term(part, rank, g, n)) for n in range(1, n_max + 1))
+    best_n, best = min(per, key=lambda term: term[1])  # the first n of least bound
+    return TailBoundResult(gamma=g, n_star=best_n, bound=best, per_n=per)
 
 
 def product_state_threshold(part: MultiPartition, rank: int) -> bool:

@@ -135,25 +135,24 @@ def conjugation_fixed_dimension(d: int, n: int) -> int:
     sym_dim(d**2, n)."""
     guard_partitions(n)
     n_fact = factorial(n)
-    powers = [(d * d) ** length for length in range(n + 1)]
-    total = 0
-
-    def visit(remaining: int, largest: int, length: int, z: int) -> None:
-        # add every partition that completes the parts chosen so far with
-        # parts of size <= largest; parts of size 1 close each one
-        nonlocal total
-        for part in range(min(largest, remaining), 1, -1):
-            z_part = z
-            for m in range(1, remaining // part + 1):
-                z_part *= part * m
-                visit(remaining - m * part, part - 1, length + m, z_part)
-        total += n_fact // (z * factorial(remaining)) * powers[length + remaining]
-
-    visit(n, n, 0, 1)
+    total = _cycle_type_sum(n_fact, [(d * d) ** length for length in range(n + 1)], n, n, 0, 1)
     quotient, remainder = divmod(total, n_fact)
     if remainder:
         raise ArithmeticError("commutant dimension sum not divisible by n!")
     return quotient
+
+
+def _cycle_type_sum(n_fact: int, powers: list[int], remaining: int, largest: int, length: int, z: int) -> int:
+    """sum of n!/z_lambda * powers[l(lambda)] over the partitions lambda that complete the
+    parts chosen so far (length of them, z their z-factor) with parts of size <= largest;
+    parts of size 1 close each one.  Not a closure: a self-calling closure is a reference cycle."""
+    total = n_fact // (z * factorial(remaining)) * powers[length + remaining]
+    for part in range(min(largest, remaining), 1, -1):
+        z_part = z
+        for m in range(1, remaining // part + 1):
+            z_part *= part * m
+            total += _cycle_type_sum(n_fact, powers, remaining - m * part, part - 1, length + m, z_part)
+    return total
 
 
 def mp_clone_coefficient(d: int, n: int, k: int, s: int) -> Fraction:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import log2
 
 DEFAULT_MAX_DIM = 2**14
 PERMUTATION_ENUMERATION_CAP = 9  # largest n for which all of S_n is listed
@@ -43,10 +44,15 @@ def set_max_dim(value: int | None) -> None:
     _max_dim_override = value
 
 
+def _size(value: int) -> str:
+    """value in digits, or as about 2^b when it has more than 20 of them."""
+    return str(value) if value < 10**20 else f"about 2^{round(log2(value))}"
+
+
 def guard_dimension(dim: int, what: str = "operator") -> None:
     if dim > max_dim():
         raise DimensionGuardError(
-            f"refusing to materialize {what} of dimension {dim} "
+            f"refusing to materialize {what} of dimension {_size(dim)} "
             f"(cap {max_dim()}; raise via set_max_dim, --max-dim or SYMSUB_MAX_DIM)"
         )
 
@@ -71,8 +77,8 @@ def guard_types(d: int, n: int, count: int) -> None:
     more than TYPE_ENUMERATION_CAP occupation counts."""
     if count * d > TYPE_ENUMERATION_CAP:
         raise DimensionGuardError(
-            f"refusing to enumerate the {count} types of (d, n) = ({d}, {n}) "
-            f"({count * d} occupation counts; cap {TYPE_ENUMERATION_CAP})"
+            f"refusing to enumerate the {_size(count)} types of (d, n) = ({d}, {n}) "
+            f"({_size(count * d)} occupation counts; cap {TYPE_ENUMERATION_CAP})"
         )
 
 
@@ -90,6 +96,6 @@ def guard_power_bits(x: Fraction, n: int) -> None:
     bits = n * max(x.numerator.bit_length(), x.denominator.bit_length())
     if bits > POWER_BITS_CAP:
         raise DimensionGuardError(
-            f"refusing to compute an exact power of about {bits} bits "
-            f"(exponent {n}; cap {POWER_BITS_CAP} bits)"
+            f"refusing to compute an exact power of up to {_size(bits)} bits "
+            f"(exponent {_size(n)}; cap {POWER_BITS_CAP} bits)"
         )

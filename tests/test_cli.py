@@ -392,3 +392,43 @@ def test_bound_smoothgap_past_float_range_exits_3(capsys, d):
     assert err.startswith("dimension guard: refusing ") and err.count("\n") == 1
     if d != "79":
         assert err.startswith(f"dimension guard: refusing the tail term at n = {d}^")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "psym", "--d", "1000", "--n", "1000"],
+        ["dims", "--d", "1000", "--n", "1000"],
+        ["bound", "smoothgap", "--d", "79", "--x", "1"],
+    ],
+)
+def test_refusals_of_huge_sizes_print_one_short_line(capsys, argv):
+    # the whole integers made lines of up to 3,129 characters
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("dimension guard: refusing ") and err.count("\n") == 1
+    assert "about 2^" in err and len(err) < 200
+
+
+def test_guard_messages_print_twenty_digits_in_full_and_more_as_a_power_of_two():
+    from symsub.guards import DimensionGuardError, guard_dimension
+
+    with pytest.raises(DimensionGuardError, match=r"of dimension 99999999999999999999 \(cap"):
+        guard_dimension(10**20 - 1)
+    with pytest.raises(DimensionGuardError, match=r"of dimension about 2\^66 \(cap"):
+        guard_dimension(10**20)  # 2^66.4
+
+
+def test_meanpower_dump_operator_is_the_estimate_of_the_same_stream(capsys):
+    from symsub.randomness import RngStream, haar_state_batch, mc_tensor_power_mean
+    from symsub.tensorspace import operator_from_json
+
+    argv = ["mc", "meanpower", "--dist", "haar", "--d", "2", "--n", "2", "--samples", "3000", "--seed", "5",
+            "--dump-operator"]
+    code, doc = _json_run(capsys, argv)
+    assert code == 0
+    [[dumped]] = doc["tables"]["mean_operator"]["rows"]
+    back = operator_from_json(json.loads(dumped))
+    est = mc_tensor_power_mean(lambda gen, m: haar_state_batch(2, gen, m), 2, 3000, RngStream(5))
+    assert back.row_dims == back.col_dims == (2, 2)
+    assert back.entries.tobytes() == est.mean.entries.tobytes()

@@ -364,3 +364,16 @@ def test_smooth_gap_refuses_n_beyond_float_range(d, n_text):
         smooth_gap_bound(d, 1)
     with pytest.raises(DimensionGuardError, match="refusing to compute an exact power"):
         smooth_gap_bound(79, 1)  # the last d whose n is a float, refused by the power-bits guard
+
+
+def test_nu_max_on_one_party_is_the_top_eigenvalue():
+    mat = _random_psd(4, seed=71)
+    got = nu_max(Operator(mat, (4,), (4,)), MultiPartition((4,)))
+    assert got == float(np.linalg.eigh(mat)[0][-1])
+
+
+def test_product_free_report_passes_vacuously_below_the_threshold():
+    # (2, 2) with r = 3 fails D > r + sum(d_i - 1): no claim, so no failure
+    report = experiment_product_free(PART22, 3, restarts=4, stream=RngStream(72), trials=5)
+    assert not report.threshold_met and report.exceedances == 0
+    assert report.passed

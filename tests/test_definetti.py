@@ -132,3 +132,15 @@ def test_mp_splits_into_trace_plus_cptp_remainder(d, n, k):
 def test_inversion_identity_beyond_dense_cap(d, n, k):
     # d^(n+k) = 2^14 and 2^35: at and far above the default side cap
     assert verify_exp_definetti(d, n, k) <= 1e-10
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
+def test_mp_remainder_at_k_zero_has_epsilon_zero_and_a_zero_remainder(d, n):
+    # M_{0,0} = 1: measure-and-prepare to no copies is the full trace
+    from symsub.channels import mp_channel_sym
+
+    eps, remainder = mp_remainder_channel_sym(d, n, 0)
+    assert eps == 0
+    mp = mp_channel_sym(d, n, 0)
+    assert (remainder.in_dims, remainder.out_dims) == (mp.in_dims, mp.out_dims)
+    assert remainder.matrix.dtype == np.float64 and not remainder.matrix.any()

@@ -236,3 +236,43 @@ def test_enumerate_types_lists_a_thousand_letters_without_recursing():
     assert [t.entries.index(1) for t in types] == list(range(1500))
     with pytest.raises(ValueError, match="n must be nonnegative"):
         enumerate_types(3, -1)
+
+
+def test_conjugation_fixed_dimension_leaves_no_cyclic_garbage():
+    # a self-calling closure left 7 objects in a reference cycle on every call
+    import gc
+
+    from symsub.exactcomb import conjugation_fixed_dimension
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert conjugation_fixed_dimension(3, 6) == sym_dim(9, 6)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_dims_command_refuses_a_long_type_list_before_its_factorial(capsys):
+    # rising_factorial_dim computes factorial(n); at n = 2^21 that ran for minutes
+    # before the type-list guard was reached
+    import json
+    import time
+
+    from symsub.cli import main
+
+    start = time.perf_counter()
+    assert main(["dims", "--d", "2", "--n", "2097152"]) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dimension guard: refusing to enumerate the 2097153 types of (d, n) = (2, 2097152)")
+    assert main(["dims", "--d", "2", "--n", "3"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [
+        {"name": "sym_dim", "expected": 4, "actual": 4, "tolerance": None, "pass": True},
+        {"name": "rising_factorial_form", "expected": "4/1", "actual": "4/1", "tolerance": None, "pass": True},
+        {"name": "type_count", "expected": 4, "actual": 4, "tolerance": None, "pass": True},
+    ]

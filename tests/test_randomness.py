@@ -24,6 +24,7 @@ from symsub.randomness import (
     projector_moment_exact,
     random_projector,
     real_gaussian_moment_operator,
+    real_unit_batch,
     real_unit_moment_operator,
 )
 from symsub.tensorspace import frobenius_distance
@@ -236,3 +237,75 @@ def _haar_sampler(gen, m):
 def test_estimators_refuse_empty_runs_and_negative_powers(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the tensor-power mean's standard error, against the per-entry formula
+# ---------------------------------------------------------------------------
+
+def _per_entry_mean_and_stderr(sampler, n, total, stream):
+    """The per-entry estimator over the same blocks: a second table of
+    E |x_a|^2 |x_b|^2, each entry's variance clipped at 0, then summed."""
+    from symsub.randomness import _blocks
+    from symsub.tensorspace import _tensor_power_rows
+
+    dim = sampler(stream.block_generator(0), 1).shape[1] ** n
+    s1 = np.zeros((dim, dim), dtype=complex)
+    s2 = np.zeros((dim, dim))
+    for block, size in _blocks(total):
+        rows = _tensor_power_rows(sampler(stream.block_generator(block), size), n)
+        s1 += rows.T @ rows.conj()
+        abs_sq = np.abs(rows) ** 2
+        s2 += np.einsum("ma,mb->ab", abs_sq, abs_sq)
+    mean = s1 / total
+    var = np.maximum(s2 / total - np.abs(mean) ** 2, 0.0)
+    return mean, float(np.sqrt(var.sum() / total))
+
+
+SAMPLERS = {
+    "haar": haar_state_batch,
+    "real-unit": real_unit_batch,
+    "real-gaussian": lambda d, gen, m: gaussian_batch(d, "real", gen, m),
+    "complex-gaussian": lambda d, gen, m: gaussian_batch(d, "complex", gen, m),
+}
+
+
+@pytest.mark.parametrize("kind", list(SAMPLERS))
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_frob_stderr_equals_the_per_entry_sum(kind, d, n):
+    # sum_ab Var(x_a conj(x_b)) = E ||v||^(4n) - ||mean||_F^2; 1500 draws make two blocks
+    sampler = lambda gen, m: SAMPLERS[kind](d, gen, m)  # noqa: E731
+    stream = RngStream(61, 10 * d + n)
+    est = mc_tensor_power_mean(sampler, n, 1500, stream)
+    mean, want = _per_entry_mean_and_stderr(sampler, n, 1500, stream)
+    assert est.mean.entries.tobytes() == mean.tobytes()
+    if n == 0:
+        assert est.frob_stderr == want == 0.0
+    elif d == 1 and kind in ("haar", "real-unit"):
+        # |x| = 1: the exact variance is 0, and both sums are rounding noise
+        assert est.frob_stderr <= 1e-9 and want <= 1e-9
+    else:
+        assert want > 0
+        assert est.frob_stderr == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_haar_moment_operator_writes_its_projector_once():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        op = haar_moment_operator(2, 10)  # 8 MiB of float64 at side 1024
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.entries.shape == (1024, 1024)
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_gaussian_vector_is_the_first_row_of_a_batch(field):
+    v = gaussian_vector(3, field, RngStream(62))
+    assert v.row_dims == (3,) and v.col_dims == (1,)
+    want = gaussian_batch(3, field, RngStream(62).generator(), 1)[0]
+    assert np.array_equal(v.entries[:, 0], want)

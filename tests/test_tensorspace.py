@@ -396,3 +396,11 @@ def test_enumerate_matchings_frees_its_list_without_the_collector():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_all_permutations_refuses_past_its_cap():
+    from symsub.guards import PERMUTATION_ENUMERATION_CAP
+    from symsub.tensorspace import all_permutations
+
+    with pytest.raises(DimensionGuardError, match=r"refusing to enumerate S_10 \(10! elements; cap n <= 9\)"):
+        all_permutations(PERMUTATION_ENUMERATION_CAP + 1)
