@@ -125,7 +125,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def cmd_dims(args, rep: Report) -> None:
-    count = len(exactcomb.enumerate_types(args.d, args.n))  # its guard refuses before factorial(n) below
+    count = len(exactcomb.enumerate_types(args.d, args.n))  # its guard refuses before any count below
     value = exactcomb.sym_dim(args.d, args.n)
     rep.check("sym_dim", value, value)
     rep.check("rising_factorial_form", Fraction(value), exactcomb.rising_factorial_dim(args.d, args.n))

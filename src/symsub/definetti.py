@@ -15,12 +15,16 @@ term A_k equals B_k (both reduce to "trace everything, prepare the normalized
 symmetric state"), giving the clean form
 tr_{n-k} = sum_s x_s clone_{k-s -> k} o MP_{n -> k-s}.
 
-The inversion is solved in integers.  T factors as D_row^-1 V D_col with
+The inversion has a closed form.  With D = d-1+k, T = D_row^-1 V D_col for
 D_row[r] = C(d+n+k-r-1, k-r), D_col[s] = C(n, k-s) and the unit upper-triangular
-integer matrix V[r][s] = C(d-1+k-r, s-r), which does not depend on n.  With the
-integer row w = e_0 V^-1,
-x_s = w_s C(d+n+k-s-1, k-s) / C(n, k) and
-y_s^(r) = delta_{s0} - C(n, k-s) sum_{s'<r} w_{s'} V[s'][s] / C(n, k) for s >= r.
+V[r][s] = C(D-r, s-r); the coefficients come from w = e_0 V^-1.  As
+sum_s V[r][s] z^s = z^r (1+z)^(D-r), putting u = z/(1+z) turns w V = e_0 into
+sum_r w_r u^r = (1-u)^D (mod u^(k+1)), so w_s = (-1)^s C(D, s) and
+x_s = (-1)^s C(D, s) C(d+n+k-s-1, k-s) / C(n, k).  For s >= r the leftover
+y_s^(r) = delta_{s0} - C(n, k-s) sum_{s'<r} w_{s'} V[s'][s] / C(n, k) has, by
+C(D, s') C(D-s', s-s') = C(D, s) C(s, s'), the partial sum
+C(D, s) sum_{s'<r} (-1)^s' C(s, s') = (-1)^(r-1) C(D, s) C(s-1, r-1), so
+y_s^(r) = (-1)^r C(n, k-s) C(D, s) C(s-1, r-1) / C(n, k) for r >= 1; y = e_0 at r = 0.
 """
 
 from __future__ import annotations
@@ -76,31 +80,19 @@ def exp_definetti_coefficients(d: int, n: int, k: int, r: int) -> DeFinettiCoeff
 
     Base case r=0 is A_0 = 1 * A_0.  Each step replaces the leading A_r term,
     using A_r = B_r / M_{k-r,k-r} - sum_{s>r} (M_{k-r,k-s}/M_{k-r,k-r}) A_s.
-    The steps are the forward substitution w_s = delta_{s0} - sum_{s'<s} w_{s'} V[s'][s]
-    on the integer system w V = e_0 (module docstring); acc[s] holds the sum
-    over the rows substituted so far, and each row of V is stepped as
-    C(m, j+1) = C(m, j) (m-j) / (j+1) with m = d-1+k-s'.
+    Each coefficient is its closed form in the module docstring (top = D).
     """
     if not (0 <= r <= k <= n):
         raise ValueError("need 0 <= r <= k <= n")
     if d < 1:
         raise ValueError("d must be positive")
-    acc = [0] * (k + 1)
-    w: list[int] = []
-    for row in range(r):
-        w_row = (row == 0) - acc[row]
-        w.append(w_row)
-        m, v = d - 1 + k - row, 1
-        for j in range(k - row):
-            v = v * (m - j) // (j + 1)
-            acc[row + 1 + j] += w_row * v
-    c_nk = binomial(n, k)
-    return DeFinettiCoefficients(
-        d=d, n=n, k=k, r=r,
-        delta=definetti_delta(d, n, k),
-        x=tuple(Fraction(w_s * binomial(d + n + k - s - 1, k - s), c_nk) for s, w_s in enumerate(w)),
-        y=tuple(Fraction((s == 0) * c_nk - binomial(n, k - s) * acc[s], c_nk) for s in range(r, k + 1)),
-    )
+    top, c_nk = d - 1 + k, binomial(n, k)
+    x = tuple(Fraction((-1) ** s * binomial(top, s) * binomial(d + n + k - s - 1, k - s), c_nk) for s in range(r))
+    if r == 0:
+        y = (Fraction(1),) + (Fraction(0),) * k
+    else:
+        y = tuple(Fraction((-1) ** r * binomial(n, k - s) * binomial(top, s) * binomial(s - 1, r - 1), c_nk) for s in range(r, k + 1))
+    return DeFinettiCoefficients(d=d, n=n, k=k, r=r, delta=definetti_delta(d, n, k), x=x, y=y)
 
 
 def exp_definetti_full_coefficients(d: int, n: int, k: int) -> tuple[Fraction, ...]:

@@ -290,8 +290,14 @@ def real_moment_ratio(d: int, n: int) -> Fraction:
 
 
 def rising_factorial_dim(d: int, n: int) -> Fraction:
-    """d(d+1)...(d+n-1)/n!, the product form of sym_dim; kept for cross-checks."""
-    num = 1
-    for i in range(n):
-        num *= d + i
-    return Fraction(num, factorial(n))
+    """d(d+1)...(d+n-1)/n!, the product form of sym_dim; kept for cross-checks.
+
+    Stepped over the shorter of the two equal products, (n+1)...(n+d-1)/(d-1)!,
+    as v (m+j) / j with m = max(n, d-1), so it takes min(n, d-1) steps.  Each
+    partial value is the binomial C(m+j, j) <= sym_dim(d, n): the division is
+    exact and, under the type cap, every partial value fits in 22 bits.
+    """
+    m, v = max(n, d - 1), 1
+    for j in range(1, min(n, d - 1) + 1):
+        v = v * (m + j) // j
+    return Fraction(v)

@@ -1,14 +1,14 @@
 """The integer forms of the exact-coefficient layer against the Fraction forms
 they replace.
 
-``exp_definetti_coefficients`` solves the de Finetti inversion as the integer
-unit-triangular system w V = e_0; ``mp_clone_polynomial`` and ``f_overlap`` sum
-their numerators by integer Horner over one common denominator; and
-``jacobi_polynomial`` carries integer numerators through the three-term
-recurrence.  Each oracle below is the earlier Fraction form, normalising after
-every term; the library must return an equal Fraction (and raise the same
-ValueError) on every input, including the d = 1, k = 0, r = 0, r = k and n = k
-edges and the points x in {0, 1, -1, p/q}.
+``exp_definetti_coefficients`` gives the de Finetti inversion in closed form,
+x_s = (-1)^s C(d-1+k, s) C(d+n+k-s-1, k-s) / C(n, k); ``mp_clone_polynomial``
+and ``f_overlap`` sum their numerators by integer Horner over one common
+denominator; and ``jacobi_polynomial`` carries integer numerators through the
+three-term recurrence.  Each oracle below is the earlier Fraction form,
+normalising after every term; the library must return an equal Fraction (and
+raise the same ValueError) on every input, including the d = 1, k = 0, r = 0,
+r = k and n = k edges and the points x in {0, 1, -1, p/q}.
 """
 
 from fractions import Fraction
@@ -164,6 +164,34 @@ def test_inversion_range_errors_unchanged():
 def test_inversion_property(d, n, k, r):
     k = min(k, n)
     _assert_inversion_matches(d, n, k, min(r, k))
+
+
+def test_alternating_binomial_row_solves_the_unit_triangular_system():
+    # w V = e_0 in integers, with V[r][s] = C(D-r, s-r) and w_s = (-1)^s C(D, s), D = d-1+k
+    for d in range(1, 7):
+        for k in range(41):
+            top = d - 1 + k
+            w = [(-1) ** s * comb(top, s) for s in range(k + 1)]
+            row = [sum(w[r] * comb(top - r, s - r) for r in range(s + 1)) for s in range(k + 1)]
+            assert row == [1] + [0] * k, (d, k)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(1, 0), (1, 1), (3, 3), (5, 2), (7, 7), (9, 4), (20, 7), (40, 12)]
+)
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_scaled_coefficients_are_the_closed_form_integers(d, n, k):
+    top, c_nk = d - 1 + k, comb(n, k)
+    for r in range(k + 1):
+        c = exp_definetti_coefficients(d, n, k, r)
+        assert [c_nk * xs for xs in c.x] == [
+            (-1) ** s * comb(top, s) * comb(d + n + k - s - 1, k - s) for s in range(r)
+        ]
+        if r == 0:
+            expected_y = [c_nk] + [0] * k
+        else:
+            expected_y = [(-1) ** r * comb(n, k - s) * comb(top, s) * comb(s - 1, r - 1) for s in range(r, k + 1)]
+        assert [c_nk * ys for ys in c.y] == expected_y
 
 
 # ---------------------------------------------------------------------------

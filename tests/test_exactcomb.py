@@ -276,3 +276,39 @@ def test_dims_command_refuses_a_long_type_list_before_its_factorial(capsys):
         {"name": "rising_factorial_form", "expected": "4/1", "actual": "4/1", "tolerance": None, "pass": True},
         {"name": "type_count", "expected": 4, "actual": 4, "tolerance": None, "pass": True},
     ]
+
+
+def test_rising_factorial_dim_equals_the_product_over_n_factorial():
+    from math import factorial
+
+    for d in range(1, 40):
+        num = 1
+        for n in range(60):
+            assert rising_factorial_dim(d, n) == Fraction(num, factorial(n)), (d, n)
+            num *= d + n
+    assert rising_factorial_dim(2, 2**21 - 2) == 2**21 - 1
+    assert rising_factorial_dim(1, 10**12) == 1
+
+
+def test_dims_command_finishes_at_d_one_and_a_trillion_copies():
+    # the product form built n! twice here; a timeout keeps a slow form from hanging the suite
+    import json
+    import os
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "symsub.cli", "dims", "--d", "1", "--n", "1000000000000"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert [(c["name"], c["actual"], c["pass"]) for c in checks] == [
+        ("sym_dim", 1, True), ("rising_factorial_form", "1/1", True), ("type_count", 1, True)
+    ]
