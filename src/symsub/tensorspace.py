@@ -204,8 +204,8 @@ def sym_projector_group(d: int, n: int) -> Operator:
     otherwise.  1/M(n, t), a correctly rounded quotient of Python ints, fills each type's block.
     """
     guard_dimension(d**n)
+    mat = np.zeros((d**n, d**n))  # first: numpy refuses an oversized side before d**n string types are read
     cols, types = _string_types(d, n)
-    mat = np.zeros((d**n, d**n))
     for col, t in enumerate(types.tolist()):
         mat[np.ix_(cols == col, cols == col)] = 1 / multinomial(n, t)
     return Operator(mat, copy_dims(d, n), copy_dims(d, n))
@@ -226,9 +226,9 @@ def sym_projector_enumerated(d: int, n: int) -> Operator:
 def _type_isometry_matrix(d: int, n: int) -> np.ndarray:
     """The type isometry's matrix: string x holds 1/sqrt(M(n, t)) in the column of its type t."""
     guard_dimension(d**n)
+    mat = np.zeros((d**n, sym_dim(d, n)))  # first, for the same reason as in sym_projector_group
     cols, types = _string_types(d, n)
     norms = np.array([1.0 / np.sqrt(multinomial(n, t)) for t in types.tolist()])
-    mat = np.zeros((d**n, len(types)))
     mat[np.arange(d**n), cols] = norms[cols]
     return mat
 
@@ -349,20 +349,20 @@ def _tensor_power_rows(vectors: np.ndarray, n: int) -> np.ndarray:
 def tensor_power_span_rank(d: int, n: int, samples: int, stream) -> int:
     """Numerical rank of the span of sampled tensor-power projectors phi^(x n).
 
-    Stacks vectorized |phi><phi|^(x n) for Haar-random phi and counts singular
-    values above 1e-8; the span of these operators is the full operator space
-    of the symmetric subspace, so the expected answer is sym_dim(d, n)**2.
+    Stacks vec(a a^dag) for Haar-random phi, a = V^T phi^(x n) its type amplitudes: V (x) V
+    maps these sym_dim**2-wide rows onto the d**(2n)-wide |phi><phi|^(x n) and keeps every
+    singular value.  Counts those above 1e-8; the expected answer is sym_dim(d, n)**2.
     """
     needed = sym_dim(d, n) ** 2 + 5
     if samples < needed:
         raise ValueError(f"need at least {needed} samples for (d, n)=({d}, {n})")
-    dim = d**n
-    # each row holds a vectorized dim x dim operator: cap that width like a
-    # superoperator's side product
-    guard_dimension(dim * dim, "span rows")
+    # the cap stays on the d**(2n) width: past it the frame of tensor powers is ill conditioned
+    # (its last singular value is 7.3e-8 at (2, 20)) and the 1e-8 count is not known to hold
+    guard_dimension(d ** (2 * n), "span rows")
     z = stream.generator().standard_normal((samples, 2, d))
     v = z[:, 0] + 1j * z[:, 1]
     w = _tensor_power_rows(v / np.linalg.norm(v, axis=1, keepdims=True), n)
-    rows = (w.conj()[:, :, None] * w[:, None, :]).reshape(samples, dim * dim)  # column-stacked |w><w|
+    a = w @ _type_isometry_matrix(d, n)
+    rows = (a.conj()[:, :, None] * a[:, None, :]).reshape(samples, -1)  # column-stacked |a><a|
     svals = np.linalg.svd(rows, compute_uv=False)
     return int(np.sum(svals > 1e-8))

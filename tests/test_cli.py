@@ -350,6 +350,53 @@ def test_spans_beyond_memory_is_a_size_refusal(capsys):
     assert err.startswith("dimension guard: Unable to allocate ")
 
 
+def test_symmetrizer_refusal_comes_before_the_string_types(capsys):
+    # the builders allocate before they read the types of 2^21 strings, which took 1.3 s
+    import time
+
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["--max-dim", "3000000", "verify", "psym", "--d", "2", "--n", "21"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    assert err == (
+        "dimension guard: Unable to allocate 32.0 TiB for an array with shape "
+        "(2097152, 2097152) and data type float64\n"
+    )
+
+
+def _traced_peak(capsys, argv):
+    import tracemalloc
+
+    _run(capsys, argv[:2] + ["--d", "2", "--n", "2"])  # first-call imports
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    return code, peak
+
+
+def test_verify_psym_holds_one_scratch_matrix(capsys):
+    # the 1024-sided projector is 8 MiB; a fresh temporary per check took the peak to 25 MiB
+    code, peak = _traced_peak(capsys, ["verify", "psym", "--d", "2", "--n", "10"])
+    assert code == 0 and peak < 20 * 2**20
+
+
+def test_verify_spans_rows_are_sym_dim_squared_wide(capsys):
+    # 420 rows of 400 type-coordinate entries; the 4096-wide dense rows peaked at 27.5 MiB
+    code, peak = _traced_peak(capsys, ["verify", "spans", "--d", "4", "--n", "3"])
+    assert code == 0 and peak < 8 * 2**20
+
+
+def test_verify_spans_keeps_its_cap_on_the_dense_width(capsys):
+    # the rows are 81 wide at (2, 8), but the frame's reach is still capped at d^(2n) = 65536
+    code, out, err = _run(capsys, ["verify", "spans", "--d", "2", "--n", "8"])
+    assert code == 3 and out == ""
+    assert err.startswith("dimension guard: refusing to materialize span rows of dimension 65536 (cap 16384;")
+
+
 @pytest.mark.parametrize("flag", ["--sample", "--sampl"])
 def test_abbreviated_samples_flag_is_the_samples_flag(capsys, flag):
     # argparse accepts an unambiguous prefix; the sample count must come from it too

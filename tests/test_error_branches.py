@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from symsub.channels import Superoperator, compose, identity_superoperator, trace_channel
-from symsub.concentration import MultiPartition, mu_exact
+from symsub.concentration import MultiPartition, mu_exact, smooth_gap_bound
 from symsub.definetti import definetti_epsilon
 from symsub.exactcomb import enumerate_types, real_moment_ratio
 from symsub.guards import set_max_dim
@@ -62,6 +62,10 @@ CASES = {
     "mu_exact_partition_dims": (
         lambda: mu_exact(Operator(np.eye(6), (2, 3), (2, 3)), MultiPartition((3, 2)), 1),
         "operator dims (2, 3) do not match partition (3, 2)",
+    ),
+    "smooth_gap_bound_x_zero": (
+        lambda: smooth_gap_bound(3, 0),
+        "x must be >= 1",
     ),
     "definetti_epsilon_d_zero": (
         lambda: definetti_epsilon(0, 4, 1),

@@ -256,8 +256,8 @@ def test_conjugation_fixed_dimension_leaves_no_cyclic_garbage():
 
 
 def test_dims_command_refuses_a_long_type_list_before_its_factorial(capsys):
-    # rising_factorial_dim computes factorial(n); at n = 2^21 that ran for minutes
-    # before the type-list guard was reached
+    # rising_factorial_dim once computed factorial(n), and at n = 2^21 that ran for
+    # minutes before the type-list guard was reached; it now takes min(n, d - 1) steps
     import json
     import time
 

@@ -304,6 +304,56 @@ def test_tensor_power_span_rank_at_n0():
         assert tensor_power_span_rank(d, 0, 6, RngStream(3)) == 1
 
 
+def _dense_span_rows(d, n, samples, stream):
+    # the d^(2n)-wide rows kron(conj(phi^(x n)), phi^(x n)) on the draws tensor_power_span_rank makes
+    z = stream.generator().standard_normal((samples, 2, d))
+    rows = []
+    for v in z[:, 0] + 1j * z[:, 1]:
+        v = v / np.linalg.norm(v)
+        w = np.ones(1, dtype=complex)
+        for _ in range(n):
+            w = np.kron(w, v)
+        rows.append(np.kron(w.conj(), w))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 2)])
+def test_span_rows_in_type_coordinates_keep_the_dense_singular_values(monkeypatch, d, n):
+    # V (x) V maps the type-coordinate rows onto the dense rows, so the SVD sees the same spectrum
+    samples = sym_dim(d, n) ** 2 + 20
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(rows, **kwargs):
+        seen.append(rows)
+        return svd(rows, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert tensor_power_span_rank(d, n, samples, RngStream(4, d * 10 + n)) == sym_dim(d, n) ** 2
+    monkeypatch.undo()
+    (rows,) = seen
+    assert rows.shape == (samples, sym_dim(d, n) ** 2)
+    dense = _dense_span_rows(d, n, samples, RngStream(4, d * 10 + n))
+    got, expected = svd(rows, compute_uv=False), svd(dense, compute_uv=False)
+    assert np.abs(got - expected[: len(got)]).max() <= 1e-12
+    assert np.abs(expected[len(got):]).max(initial=0.0) <= 1e-12
+
+
+def test_span_rank_is_full_wherever_the_rows_are_small():
+    # every (d, n) with d^n <= 128 (the default cap's reach) and sym_dim^2 <= 441
+    cases = [
+        (d, n) for d in range(1, 22) for n in range(8)
+        if d**n <= 128 and sym_dim(d, n) ** 2 <= 441
+    ]
+    assert len(cases) == 61
+    wrong = {
+        (d, n): rank for d, n in cases
+        if (rank := tensor_power_span_rank(d, n, sym_dim(d, n) ** 2 + 20, RngStream(9, d * 10 + n)))
+        != sym_dim(d, n) ** 2
+    }
+    assert wrong == {}
+
+
 def test_dense_builders_hold_nothing_after_release():
     import tracemalloc
 
