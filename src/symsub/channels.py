@@ -30,9 +30,9 @@ from math import prod
 
 import numpy as np
 
-from .exactcomb import _homogeneous_sum, binomial, enumerate_types, mp_clone_coefficient, multinomial, sym_dim
+from .exactcomb import _homogeneous_sum, binomial, enumerate_types, mp_clone_coefficient, sym_dim
 from .guards import guard_dimension
-from .tensorspace import Operator, _dense, _type_isometry_matrix, _type_rank, copy_dims, sym_projector_group
+from .tensorspace import Operator, _dense, _multinomials, _type_isometry_matrix, _type_rank, copy_dims, sym_projector_group
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -191,13 +191,14 @@ def _type_split(d: int, p: int, q: int):
     of w in enumerate_types(d, p+q), ranked from the summed rows a + b, of a in
     enumerate_types(d, p), of b in enumerate_types(d, q), and A itself.
     """
-    firsts, seconds = enumerate_types(d, p), enumerate_types(d, q)
+    firsts, seconds = (np.array([t.entries for t in enumerate_types(d, m)]) for m in (p, q))
     a_idx = np.repeat(np.arange(len(firsts)), len(seconds))
     b_idx = np.tile(np.arange(len(seconds)), len(firsts))
-    rows = np.array([t.entries for t in firsts])[a_idx] + np.array([t.entries for t in seconds])[b_idx]
+    rows = firsts[a_idx] + seconds[b_idx]
     w_idx = _type_rank(rows, p + q)
-    m_a, m_b, m_w = (np.array([multinomial(m, t) for t in types], dtype=object)
-                     for m, types in ((p, firsts), (q, seconds), (p + q, enumerate_types(d, p + q))))
+    joined = np.empty((sym_dim(d, p + q), d), dtype=rows.dtype)
+    joined[w_idx] = rows  # every type of p + q copies is some a + b
+    m_a, m_b, m_w = _multinomials(firsts, p), _multinomials(seconds, q), _multinomials(joined, p + q)
     # each quotient is an exact big-int ratio, correctly rounded; it is at most 1
     amp = np.sqrt((m_a[a_idx] * m_b[b_idx] / m_w[w_idx]).astype(float))
     return w_idx, a_idx, b_idx, amp

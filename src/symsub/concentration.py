@@ -69,6 +69,8 @@ def mu_exact(op: Operator, part: MultiPartition, n: int) -> float:
 
     from .randomness import haar_moment_operator
 
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     op = _partition_operator(op, part)
     dims = part.dims
     total = part.total
@@ -222,7 +224,9 @@ def tail_bound(part: MultiPartition, rank: int, gamma, n_max: int = 64) -> TailB
 
 def product_state_threshold(part: MultiPartition, rank: int) -> bool:
     """True iff D > rank + sum_i (d_i - 1), the regime where a random rank-r
-    subspace almost surely contains no product state."""
+    subspace almost surely contains no product state; a rank outside 1..D is refused."""
+    if not 1 <= rank <= part.total:
+        raise ValueError("need 1 <= rank <= prod(dims)")
     return part.total > rank + sum(d - 1 for d in part.dims)
 
 
@@ -406,16 +410,19 @@ def experiment_product_free(
     When the dimension-counting threshold holds, the share of trials whose
     overlap reaches PRODUCT_FREE_GAMMA is expected to stay within the moment
     tail bound.  When it does not hold, the report says so and makes no
-    claim."""
+    claim.  A rank outside 1..prod(dims), fewer than one trial or a trial count
+    past the stream split limit is refused before the first draw."""
     from .randomness import random_projector
 
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    met = product_state_threshold(part, rank)  # checks rank before any draw
     restart_base = max(trials, 10_000)  # restart streams start past every projector stream
     last = restart_base + trials - 1
     try:  # refused before the first trial, not after the others
         stream.split(last)
     except ValueError as exc:
         raise ValueError(f"{trials} trials take stream split index {last}: {exc}") from None
-    met = product_state_threshold(part, rank)
     overlaps: list[float] = []
     if met:
         for t in range(trials):

@@ -395,6 +395,8 @@ def _matching_sum(d: int, n: int) -> np.ndarray:
     at most (2n-1)!!, so the floats are the exact counts while that is below
     2^53 (n <= 15), as the enumerated sum's were.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     guard_dimension(d**n)
     cols, types = _string_types(d, n)
     pairings = np.zeros(2 * n + 1)  # pairings[m] = (m - 1)!!, the perfect matchings of m slots

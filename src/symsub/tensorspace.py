@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .exactcomb import conjugation_fixed_dimension  # noqa: F401  re-exported
-from .exactcomb import binomial, multinomial, sym_dim
+from .exactcomb import binomial, sym_dim
 from .guards import guard_dimension, guard_matchings, guard_permutations
 
 
@@ -196,6 +196,13 @@ def _string_types(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, types
 
 
+def _multinomials(types: np.ndarray, n: int) -> np.ndarray:
+    """Exact M(n, t) = n! / (t_1! ... t_d!) of every row t of an (S, d) count table,
+    as an object array of Python ints: one object-array product, no loop over the rows."""
+    factorials = np.array([factorial(m) for m in range(n + 1)], dtype=object)
+    return factorials[n] // factorials[types].prod(axis=1)
+
+
 def sym_projector_group(d: int, n: int) -> Operator:
     """Group-average projector (1/n!) sum_pi P(pi) onto the symmetric subspace.
 
@@ -203,16 +210,20 @@ def sym_projector_group(d: int, n: int) -> Operator:
     states, so entry [x, y] is 1/M(n, t) when strings x and y share type t and 0
     otherwise.  1/M(n, t), a correctly rounded quotient of Python ints, fills each type's block.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     guard_dimension(d**n)
     mat = np.zeros((d**n, d**n))  # first: numpy refuses an oversized side before d**n string types are read
     cols, types = _string_types(d, n)
-    for col, t in enumerate(types.tolist()):
-        mat[np.ix_(cols == col, cols == col)] = 1 / multinomial(n, t)
+    for col, m in enumerate(_multinomials(types, n)):
+        mat[np.ix_(cols == col, cols == col)] = 1 / m
     return Operator(mat, copy_dims(d, n), copy_dims(d, n))
 
 
 def sym_projector_enumerated(d: int, n: int) -> Operator:
     """Literal group average by enumerating S_n; cross-check for small n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     guard_dimension(d**n)
     guard_permutations(n)
     dim = d**n
@@ -228,7 +239,7 @@ def _type_isometry_matrix(d: int, n: int) -> np.ndarray:
     guard_dimension(d**n)
     mat = np.zeros((d**n, sym_dim(d, n)))  # first, for the same reason as in sym_projector_group
     cols, types = _string_types(d, n)
-    norms = np.array([1.0 / np.sqrt(multinomial(n, t)) for t in types.tolist()])
+    norms = 1.0 / np.sqrt(_multinomials(types, n).astype(float))
     mat[np.arange(d**n), cols] = norms[cols]
     return mat
 

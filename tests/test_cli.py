@@ -291,6 +291,12 @@ def test_productfree_readme_example_passes_on_tail_statement(capsys):
     assert float(checks["max_product_overlap"]["actual"]) >= 999 / 1000
 
 
+def test_productfree_rank_above_total_exits_2(capsys):
+    code, out, err = _run(capsys, ["mc", "productfree", "--dims", "2,3", "--r", "7"])
+    assert code == 2 and out == ""
+    assert err == "symsub: error: need 1 <= rank <= prod(dims)\n"
+
+
 def test_bound_tail_rank_above_total_exits_2(capsys):
     code, out, err = _run(capsys, ["bound", "tail", "--dims", "2,2", "--r", "9", "--gamma", "1", "--nmax", "3"])
     assert code == 2 and out == ""

@@ -6,13 +6,35 @@ import re
 import numpy as np
 import pytest
 
-from symsub.channels import Superoperator, compose, identity_superoperator, trace_channel
-from symsub.concentration import MultiPartition, mu_exact, smooth_gap_bound
+from symsub.channels import Superoperator, compose, identity_superoperator, projection_superoperator, trace_channel
+from symsub.concentration import (
+    MultiPartition,
+    experiment_product_free,
+    mu_exact,
+    product_state_threshold,
+    smooth_gap_bound,
+)
 from symsub.definetti import definetti_epsilon
 from symsub.exactcomb import enumerate_types, real_moment_ratio
 from symsub.guards import set_max_dim
-from symsub.randomness import RngStream, haar_state, haar_unitary
-from symsub.tensorspace import Matching, Operator, Permutation, matching_operator, partial_trace
+from symsub.randomness import (
+    RngStream,
+    complex_gaussian_moment_operator,
+    haar_moment_operator,
+    haar_state,
+    haar_unitary,
+    real_gaussian_moment_operator,
+    real_unit_moment_operator,
+)
+from symsub.tensorspace import (
+    Matching,
+    Operator,
+    Permutation,
+    matching_operator,
+    partial_trace,
+    sym_projector_enumerated,
+    sym_projector_group,
+)
 
 CASES = {
     "operator_empty_dims": (
@@ -94,6 +116,54 @@ CASES = {
     "haar_unitary_d_zero": (
         lambda: haar_unitary(0, RngStream(seed=1)),
         "d must be positive",
+    ),
+    "product_free_rank_above_total": (
+        lambda: experiment_product_free(MultiPartition((2, 3)), 7, 1, RngStream(seed=1)),
+        "need 1 <= rank <= prod(dims)",
+    ),
+    "product_free_rank_zero": (
+        lambda: experiment_product_free(MultiPartition((2, 3)), 0, 1, RngStream(seed=1)),
+        "need 1 <= rank <= prod(dims)",
+    ),
+    "product_free_trials_zero": (
+        lambda: experiment_product_free(MultiPartition((2, 3)), 2, 1, RngStream(seed=1), trials=0),
+        "trials must be positive",
+    ),
+    "product_state_threshold_rank_negative": (
+        lambda: product_state_threshold(MultiPartition((2, 3)), -5),
+        "need 1 <= rank <= prod(dims)",
+    ),
+    "sym_projector_group_n_negative": (
+        lambda: sym_projector_group(2, -1),
+        "n must be nonnegative",
+    ),
+    "sym_projector_enumerated_n_negative": (
+        lambda: sym_projector_enumerated(2, -1),
+        "n must be nonnegative",
+    ),
+    "haar_moment_operator_n_negative": (
+        lambda: haar_moment_operator(2, -1),
+        "n must be nonnegative",
+    ),
+    "complex_gaussian_moment_operator_n_negative": (
+        lambda: complex_gaussian_moment_operator(2, -1),
+        "n must be nonnegative",
+    ),
+    "real_gaussian_moment_operator_n_negative": (
+        lambda: real_gaussian_moment_operator(2, -1),
+        "n must be nonnegative",
+    ),
+    "real_unit_moment_operator_n_negative": (
+        lambda: real_unit_moment_operator(2, -1),
+        "n must be nonnegative",
+    ),
+    "projection_superoperator_n_negative": (
+        lambda: projection_superoperator(2, -1),
+        "n must be nonnegative",
+    ),
+    "mu_exact_n_negative": (
+        lambda: mu_exact(Operator(np.eye(4), (2, 2), (2, 2)), MultiPartition((2, 2)), -1),
+        "n must be nonnegative",
     ),
 }
 
