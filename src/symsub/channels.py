@@ -141,12 +141,11 @@ def projection_superoperator(d: int, n: int) -> Superoperator:
 
 def clone_channel(d: int, n: int, k: int) -> Superoperator:
     """Optimal n -> n+k cloner: rho -> c Pi (rho (x) I^k) Pi with
-    c = sym_dim(d,n)/sym_dim(d,n+k); trace preserving on symmetric inputs."""
+    c = estimation_fidelity(d, n, k); trace preserving on symmetric inputs."""
     _guard_superoperator(d ** (n + k), d**n)
     pi = sym_projector_group(d, n + k).entries
-    c = Fraction(sym_dim(d, n), sym_dim(d, n + k))
     dk = d**k
-    root = np.sqrt(float(c))
+    root = np.sqrt(float(estimation_fidelity(d, n, k)))
     kraus = [root * pi[:, a::dk] for a in range(dk)]  # Pi (I (x) |a>)
     return kraus_superoperator(kraus, copy_dims(d, n), copy_dims(d, n + k))
 
@@ -159,12 +158,11 @@ def mp_channel(d: int, n: int, k: int) -> Superoperator:
     """
     _guard_superoperator(d**k, d**n)
     pi = sym_projector_group(d, n + k).entries
-    c = float(Fraction(sym_dim(d, n), sym_dim(d, n + k)))
     dn, dk = d**n, d**k
     tensor = pi.reshape(dn, dk, dn, dk)
     # out[u, v] = c * sum_{b, b'} Pi[(b,u), (b',v)] rho[b', b]; as a matrix on
     # column-stacked inputs this is an axis shuffle of Pi.
-    mat = c * tensor.transpose(3, 1, 0, 2).reshape(dk * dk, dn * dn)
+    mat = float(estimation_fidelity(d, n, k)) * tensor.transpose(3, 1, 0, 2).reshape(dk * dk, dn * dn)
     return Superoperator(mat, copy_dims(d, n), copy_dims(d, k))
 
 
@@ -226,7 +224,7 @@ def _scatter(entries, dout: int, din: int) -> Superoperator:
 def _clone_entries(d: int, n: int, k: int):
     if k < 0:
         raise ValueError("need k >= 0")
-    out, inp, values = _trace_entries(d, n + k, n, sym_dim(d, n) / sym_dim(d, n + k))
+    out, inp, values = _trace_entries(d, n + k, n, float(estimation_fidelity(d, n, k)))
     return inp, out, values
 
 
@@ -235,7 +233,7 @@ def _mp_entries(d: int, n: int, k: int):
     _guard_superoperator(dout, din)
     w, a, b, amp = _type_split(d, n, k)
     i, j = _join(w, w)
-    return b[j] + b[i] * dout, a[i] + a[j] * din, din / sym_dim(d, n + k) * amp[i] * amp[j]
+    return b[j] + b[i] * dout, a[i] + a[j] * din, float(estimation_fidelity(d, n, k)) * amp[i] * amp[j]
 
 
 def _trace_entries(d: int, n: int, k: int, scale: float = 1.0):
@@ -249,7 +247,7 @@ def _trace_entries(d: int, n: int, k: int, scale: float = 1.0):
 
 
 def clone_channel_sym(d: int, n: int, k: int) -> Superoperator:
-    """The optimal n -> n+k cloner on symmetric coordinates: c = sym_dim(d,n)/sym_dim(d,n+k)
+    """The optimal n -> n+k cloner on symmetric coordinates: c = estimation_fidelity(d, n, k)
     times the adjoint of the partial trace tr_{n+k -> n}, whose entry list it reuses swapped.
     Its Kraus operators K_b |t> = sqrt(c M(n,t) / M(n+k,t+b)) |t+b>, with multiplicity
     M(k,b), depend only on the type b of the k added copies."""

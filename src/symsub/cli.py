@@ -84,17 +84,14 @@ class Report:
     def emit(self, fmt: str) -> int:
         elapsed_ms = int((time.monotonic() - self.start) * 1000)
         if fmt == "csv":
-            lines = []
+            import csv
+
+            out = csv.writer(sys.stdout, lineterminator="\n")
             for name, table in self.tables.items():
-                lines.append(",".join(["table", name] + table["header"]))
-                for row in table["rows"]:
-                    lines.append(",".join(str(v) for v in [name] + row))
-            for c in self.checks:
-                lines.append(
-                    f"check,{c['name']},{c['expected']},{c['actual']},{c['tolerance']},{c['pass']}"
-                )
-            lines.append(f"verdict,{self.verdict}")
-            print("\n".join(lines))
+                out.writerow(["table", name, *table["header"]])
+                out.writerows([name, *map(str, row)] for row in table["rows"])
+            out.writerows(["check", *map(str, c.values())] for c in self.checks)
+            out.writerow(["verdict", self.verdict])
         else:
             doc = {
                 "schema": SCHEMA_VERSION,
@@ -200,16 +197,15 @@ def cmd_verify_wick(args, rep: Report) -> None:
     if args.field == "complex":
         exact = randomness.complex_gaussian_moment_operator(args.d, args.n)
     else:
-        guard_matchings(args.n)  # keeps the n <= 6 cap: the check below builds n! pairs of dense operators
+        guard_matchings(args.n)  # keeps the n <= 6 cap: it bounds the n! loop of the check below
         exact = randomness.real_gaussian_moment_operator(args.d, args.n)
-        worst = 0.0
+        dim, worst = args.d**args.n, 0.0
         for pi in tensorspace.all_permutations(args.n):
-            matching = tensorspace.matching_from_permutation(pi)
-            diff = np.abs(
-                tensorspace.matching_operator(args.d, args.n, matching).entries
-                - tensorspace.permutation_operator(args.d, pi).entries
-            ).max()
-            worst = max(worst, float(diff))
+            # both operators are 0/1 matrices, equal (max entry 0) iff they hold the same (row, col) pairs
+            rows, cols = tensorspace.matching_index_pairs(args.d, tensorspace.matching_from_permutation(pi))
+            same = np.array_equal(np.sort(rows * dim + cols),
+                                  np.sort(tensorspace.permutation_index_map(args.d, pi) * dim + np.arange(dim)))
+            worst = max(worst, 0.0 if same else 1.0)
         rep.within("matching_vs_permutation_max_entry", worst, 0.0)
     est = randomness.mc_tensor_power_mean(
         lambda gen, m: randomness.gaussian_batch(args.d, args.field, gen, m),
@@ -452,7 +448,7 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     """Global flags accepted before or after the subcommand; the subparser
     copies use SUPPRESS defaults so they never clobber values parsed earlier."""
     default = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--seed", type=int, default=default(0), help="random seed for all sampling")
+    parser.add_argument("--seed", type=_nonnegative_int, default=default(0), help="random seed for all sampling")
     parser.add_argument("--samples", type=_positive_int, default=default(None),
                         help="Monte Carlo sample count (default 100000; verify spans: sym_dim^2 + 20)")
     parser.add_argument("--tol-scale", type=_positive_finite_float, default=default(1.0),

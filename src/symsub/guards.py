@@ -57,19 +57,17 @@ def guard_dimension(dim: int, what: str = "operator") -> None:
         )
 
 
+def _guard_enumeration(n: int, cap: int, what: str, size: str) -> None:
+    if n > cap:
+        raise DimensionGuardError(f"refusing to enumerate {what} ({size}; cap n <= {cap})")
+
+
 def guard_permutations(n: int) -> None:
-    if n > PERMUTATION_ENUMERATION_CAP:
-        raise DimensionGuardError(
-            f"refusing to enumerate S_{n} ({n}! elements; cap n <= {PERMUTATION_ENUMERATION_CAP})"
-        )
+    _guard_enumeration(n, PERMUTATION_ENUMERATION_CAP, f"S_{n}", f"{n}! elements")
 
 
 def guard_partitions(n: int) -> None:
-    if n > PARTITION_ENUMERATION_CAP:
-        raise DimensionGuardError(
-            f"refusing to enumerate the partitions of {n} "
-            f"(more than 10**6 of them; cap n <= {PARTITION_ENUMERATION_CAP})"
-        )
+    _guard_enumeration(n, PARTITION_ENUMERATION_CAP, f"the partitions of {n}", "more than 10**6 of them")
 
 
 def guard_types(d: int, n: int, count: int) -> None:
@@ -83,11 +81,7 @@ def guard_types(d: int, n: int, count: int) -> None:
 
 
 def guard_matchings(n: int) -> None:
-    if n > MATCHING_ENUMERATION_CAP:
-        raise DimensionGuardError(
-            f"refusing to enumerate perfect matchings of [2*{n}] "
-            f"((2n-1)!! elements; cap n <= {MATCHING_ENUMERATION_CAP})"
-        )
+    _guard_enumeration(n, MATCHING_ENUMERATION_CAP, f"perfect matchings of [2*{n}]", "(2n-1)!! elements")
 
 
 def guard_power_bits(x: Fraction, n: int) -> None:

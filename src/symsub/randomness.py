@@ -302,13 +302,13 @@ def mc_tensor_power_mean(
     power means read 1.179 s median against 1.170 s serial, faster in 5 of 10.
     """
     _check_counts(n, total)
-    d = sampler(stream.block_generator(0), 1).shape[1]
-    dim = d**n
-    guard_dimension(dim)
-    mean = np.zeros((dim, dim), dtype=complex)
     fourth = 0.0  # sum of ||v^(x n)||^4 = ||v||^(4n) over the draws
     for block, size in _blocks(total):
         vectors = sampler(stream.block_generator(block), size)
+        if block == 0:  # d is read off the first block, so the cap is checked once it is drawn
+            d = vectors.shape[1]
+            guard_dimension(d**n)
+            mean = np.zeros((d**n, d**n), dtype=complex)
         rows = _tensor_power_rows(vectors, n)
         mean += rows.T @ rows.conj()
         fourth += float(np.sum(np.linalg.norm(vectors, axis=1) ** (4 * n)))

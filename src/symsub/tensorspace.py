@@ -300,6 +300,19 @@ def matching_from_permutation(pi: Permutation) -> Matching:
     return Matching(tuple((pi.images[m], n + m) for m in range(n)))
 
 
+def matching_index_pairs(d: int, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
+    """The d**n (row, column) pairs of the strings i in [d]^{2n} compatible with M,
+    row i_0..i_{n-1} and column i_n..i_{2n-1}: the 1 entries of sigma_M, as two 1-D arrays."""
+    n = matching.n
+    pair_of = np.empty(2 * n, dtype=np.int64)  # the pair holding each slot
+    for pair_idx, pair in enumerate(matching.pairs):
+        pair_of[list(pair)] = pair_idx
+    slot_digits = _index_digits(d, n)[:, pair_of]  # each slot takes its pair's free digit
+    grid = _index_grid(d, n)
+    # at n = 0 the grid is 0-d and so is each lookup; reshape keeps the one pair 1-D
+    return grid[tuple(slot_digits[:, :n].T)].reshape(-1), grid[tuple(slot_digits[:, n:].T)].reshape(-1)
+
+
 def matching_operator(d: int, n: int, matching: Matching) -> Operator:
     """sigma_M = sum over strings i in [d]^{2n} compatible with M of
     |i_0..i_{n-1}><i_n..i_{2n-1}|, where compatible means equal within pairs."""
@@ -307,15 +320,8 @@ def matching_operator(d: int, n: int, matching: Matching) -> Operator:
         raise ValueError("matching size does not match n")
     dim = d**n
     guard_dimension(dim)
-    pair_of = np.empty(2 * n, dtype=np.int64)  # the pair holding each slot
-    for pair_idx, pair in enumerate(matching.pairs):
-        pair_of[list(pair)] = pair_idx
-    slot_digits = _index_digits(d, n)[:, pair_of]  # each slot takes its pair's free digit
-    grid = _index_grid(d, n)
-    rows = grid[tuple(slot_digits[:, :n].T)]
-    cols = grid[tuple(slot_digits[:, n:].T)]
     mat = np.zeros((dim, dim))
-    mat[rows, cols] = 1.0
+    mat[matching_index_pairs(d, matching)] = 1.0
     return Operator(mat, copy_dims(d, n), copy_dims(d, n))
 
 
