@@ -21,6 +21,8 @@ if TYPE_CHECKING:
 # numpy, randomness and tensorspace load inside the dense and sampling
 # functions, so MultiPartition and the exact tail bounds import without them
 
+ASCENT_TOL = 1e-12  # nu_max drops a restart once a sweep gains at most this
+
 
 @dataclass(frozen=True)
 class MultiPartition:
@@ -114,7 +116,6 @@ def nu_max(
     restarts: int = 32,
     iters: int = 200,
     stream: RngStream | None = None,
-    tol: float = 1e-12,
 ) -> float:
     """Best overlap max tr[P (phi_1 x ... x phi_k)] over product states.
 
@@ -163,7 +164,7 @@ def nu_max(
         for j, rest in enumerate(rests)
     ]
 
-    # alternating ascent; a restart leaves `active` at the sweep that gains <= tol
+    # alternating ascent; a restart leaves `active` at the sweep that gains <= ASCENT_TOL
     values = np.full(restarts, -np.inf)
     active = np.arange(restarts)
     for _ in range(iters):
@@ -176,7 +177,7 @@ def nu_max(
             evals, evecs = np.linalg.eigh((env + env.conj().swapaxes(1, 2)) / 2.0)
             vectors[j][active] = evecs[:, :, -1]
             values[active] = evals[:, -1]
-        active = active[values[active] - previous > tol]
+        active = active[values[active] - previous > ASCENT_TOL]
         if active.size == 0:
             break
     return float(values.max())
@@ -318,8 +319,8 @@ def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStr
     Pr[lambda_max >= (16/(e d)) e^eps] <= e^(-d eps).
 
     The states stream through ``haar_state_chunks`` and the blocks run through
-    ``randomness._map_blocks``: each of its (at most two) threads holds a few
-    chunks (about four ``CHUNK_BYTES`` with the real-part scratch buffer) plus
+    ``randomness._map_blocks``: each of its (at most two) threads holds one
+    complex chunk buffer of ``CHUNK_BYTES`` and its transients plus
     8 min(BLOCK_SIZE, samples) bytes of lambda_max values, whatever d, and the
     report is bit-identical to SVDs of whole ``haar_state_batch`` blocks.
     """
@@ -339,14 +340,13 @@ def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStr
     except OverflowError:  # no squared Schmidt coefficient (at most 1) reaches it
         threshold = inf
     block_rows = min(BLOCK_SIZE, samples)
-    shape = (min(chunk_rows(d * d), block_rows), d * d)
 
-    def scratch() -> tuple[np.ndarray, ...]:
-        return np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex), np.empty(block_rows)
+    def scratch() -> tuple[np.ndarray, np.ndarray]:
+        return np.empty((min(chunk_rows(d * d), block_rows), d * d), dtype=complex), np.empty(block_rows)
 
-    def block_tail(block: int, size: int, buffers: tuple[np.ndarray, ...]) -> tuple[int, float]:
-        real, imag, z, lam = buffers
-        for start, psi in haar_state_chunks(d * d, stream.block_generator(block), size, real, imag, z):
+    def block_tail(block: int, size: int, buffers: tuple[np.ndarray, np.ndarray]) -> tuple[int, float]:
+        z, lam = buffers
+        for start, psi in haar_state_chunks(d * d, stream.block_generator(block), size, z):
             svals = np.linalg.svd(psi.reshape(-1, d, d), compute_uv=False)
             np.square(svals[:, 0], out=lam[start : start + len(psi)])
         return int(np.sum(lam[:size] >= threshold)), float(lam[:size].sum())

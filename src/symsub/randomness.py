@@ -12,18 +12,15 @@ calling thread alone otherwise.  Each block returns its own partial sums and
 the caller adds them in block order, so the results are bit-identical whatever
 the CPU count.
 
-Draw order of a block of Haar states: all of the block's real parts first, row
-by row, then its imaginary parts in the same row order.  ``Generator`` fills
-arrays element by element, so a block can be drawn one chunk of rows at a time
-and still reproduce ``haar_state_batch`` bit for bit: ``haar_state_chunks``
-reads the real parts from a copy of the block generator (its twin) and, once
-the block generator has drawn past the real parts, the imaginary parts from
-the block generator itself.
+Draw order of a block of Haar states: row by row, each entry's real part and
+then its imaginary part, drawn straight into the complex array.  ``Generator``
+fills arrays element by element, so ``haar_state_chunks`` can draw a block one
+chunk of rows at a time into one complex buffer and still reproduce
+``haar_state_batch`` bit for bit, leaving the generator in the same state.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 import threading
 from dataclasses import dataclass
@@ -39,7 +36,7 @@ from .tensorspace import Operator, _string_types, _tensor_power_rows, copy_dims,
 
 BLOCK_SIZE = 1024
 # bytes of complex rows in one chunk of haar_state_chunks; drawing and
-# normalizing a chunk holds about 3.5 times this at its peak
+# normalizing a chunk holds about 2 times this at its peak, buffer included
 CHUNK_BYTES = 1 << 18
 # split indices; index + 1 must fit the 16 bits split gives it
 SPLIT_LIMIT = (1 << 16) - 1
@@ -145,14 +142,12 @@ def _map_blocks(fn: Callable, total: int, scratch: Callable[[], object]) -> list
 # ---------------------------------------------------------------------------
 
 def haar_state_batch(d: int, gen: np.random.Generator, count: int) -> np.ndarray:
-    """(count, d) array of Haar-random unit vectors (normalized complex Gaussians).
-
-    The draws go straight into one complex array and are normalized in place;
-    the result is bit-identical to ``(x + 1j*y) / norm`` on the same draws.
+    """(count, d) array of Haar-random unit vectors (normalized complex Gaussians),
+    each entry's real then imaginary part drawn straight into the complex array:
+    bit for bit ``(x[..., 0] + 1j*x[..., 1]) / norm`` for ``x = gen.standard_normal((count, d, 2))``.
     """
     z = np.empty((count, d), dtype=complex)
-    z.real = gen.standard_normal((count, d))
-    z.imag = gen.standard_normal((count, d))
+    gen.standard_normal(out=z.view(float))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z
 
@@ -162,41 +157,19 @@ def chunk_rows(d: int) -> int:
     return max(1, CHUNK_BYTES // (16 * d))
 
 
-def haar_state_chunks(
-    d: int,
-    gen: np.random.Generator,
-    count: int,
-    real: np.ndarray,
-    imag: np.ndarray | None = None,
-    z: np.ndarray | None = None,
-) -> Iterator[tuple[int, np.ndarray]]:
+def haar_state_chunks(d: int, gen: np.random.Generator, count: int, z: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """The rows of ``haar_state_batch(d, gen, count)``, bit for bit, as
     ``(start, rows)`` chunks of at most ``CHUNK_BYTES`` bytes each (one row
-    when a row is larger).
+    when a row is larger), leaving ``gen`` where ``haar_state_batch`` leaves it.
 
-    A twin of ``gen`` is taken first.  ``gen`` then draws past the ``count``
-    real parts, one chunk at a time, into the float scratch buffer ``real`` of
-    at least ``min(count, chunk_rows(d))`` rows of ``d`` (rows past that are
-    left untouched); each chunk then takes its real parts from the twin and its
-    imaginary parts from ``gen``, which ends where ``haar_state_batch`` leaves
-    it.  So a few chunks are held, whatever ``count`` and ``d``.  The yielded
-    rows live in one buffer that the next chunk overwrites: ``z``, complex,
-    with the imaginary parts drawn into the float buffer ``imag``; each is
-    allocated here unless given with as many rows as ``real``.
+    Each chunk is drawn into the complex buffer ``z`` of at least
+    ``min(count, chunk_rows(d))`` rows of ``d`` (rows past that are left
+    untouched), so the yielded rows are overwritten by the next chunk.
     """
     rows = chunk_rows(d)
-    shape = (min(rows, count), d)
-    twin = copy.deepcopy(gen)
-    real = real[: shape[0]]
     for start in range(0, count, rows):
-        gen.standard_normal(out=real[: min(rows, count - start)])
-    imag = np.empty(shape) if imag is None else imag[: shape[0]]
-    z = np.empty(shape, dtype=complex) if z is None else z[: shape[0]]
-    for start in range(0, count, rows):
-        m = min(rows, count - start)
-        chunk = z[:m]
-        chunk.real = twin.standard_normal(out=real[:m])
-        chunk.imag = gen.standard_normal(out=imag[:m])
+        chunk = z[: min(rows, count - start)]
+        gen.standard_normal(out=chunk.view(float))
         chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)
         yield start, chunk
 
@@ -324,31 +297,27 @@ def mc_projector_moment(dim: int, rank: int, n: int, total: int, stream: RngStre
 
     tr(U^dag Pi_0 U |0><0|) is the squared norm of the first ``rank`` entries of
     the first column of U, and that column is itself a Haar unit vector, so the
-    draw reduces to Haar states.  With the draws of ``haar_state_batch``,
-    x + iy, the overlap is sum_{j<rank} |z_j|^2 / sum_j |z_j|^2, computed in
-    real arithmetic without forming the normalized complex vectors.  Each
-    block squares its real parts in place in a block-sized buffer and adds the
-    squares of its imaginary parts one chunk of rows at a time; the blocks run
-    through ``_map_blocks``.
+    draw reduces to Haar states.  A row of ``haar_state_batch`` draws holds each
+    entry's real and imaginary parts in turn, so the overlap is the sum of the
+    row's first 2 rank squared draws over the sum of all 2 dim, in real
+    arithmetic.  Each block squares its draws in place one chunk of rows at a
+    time; the blocks run through ``_map_blocks``.
     """
     if not 1 <= rank <= dim:
         raise ValueError("need 1 <= rank <= dim")
     _check_counts(n, total)
-    guard_dimension(dim, "sample rows")  # a block holds BLOCK_SIZE rows of dim
-    rows = min(BLOCK_SIZE, total)
+    guard_dimension(dim, "sample rows")  # a chunk holds at least one row of dim
 
-    def scratch() -> tuple[np.ndarray, np.ndarray]:
-        return np.empty((rows, dim)), np.empty((min(chunk_rows(dim), rows), dim))
+    def scratch() -> np.ndarray:
+        return np.empty((min(chunk_rows(dim), BLOCK_SIZE, total), 2 * dim))
 
-    def block_sums(block: int, size: int, buffers: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
-        sq, imag = buffers
-        sq = sq[:size]
+    def block_sums(block: int, size: int, sq: np.ndarray) -> tuple[float, float]:
         gen = stream.block_generator(block)
-        np.square(gen.standard_normal(out=sq), out=sq)
-        for start in range(0, size, len(imag)):
-            part = imag[: min(len(imag), size - start)]
-            sq[start : start + len(part)] += np.square(gen.standard_normal(out=part), out=part)
-        overlap = sq[:, :rank].sum(axis=1) / sq.sum(axis=1)
+        overlap = np.empty(size)
+        for start in range(0, size, len(sq)):
+            part = sq[: min(len(sq), size - start)]
+            np.square(gen.standard_normal(out=part), out=part)
+            np.divide(part[:, : 2 * rank].sum(axis=1), part.sum(axis=1), out=overlap[start : start + len(part)])
         powered = overlap**n
         return float(powered.sum()), float((powered**2).sum())
 
@@ -398,6 +367,7 @@ def _matching_sum(d: int, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be nonnegative")
     guard_dimension(d**n)
+    mat = np.empty((d**n, d**n))  # first: numpy refuses an oversized side before d**n string types are read
     cols, types = _string_types(d, n)
     pairings = np.zeros(2 * n + 1)  # pairings[m] = (m - 1)!!, the perfect matchings of m slots
     pairings[::2] = np.cumprod(np.r_[1.0, np.arange(1, 2 * n, 2)])
@@ -406,7 +376,7 @@ def _matching_sum(d: int, n: int) -> np.ndarray:
         used = np.flatnonzero(c)
         table[used] *= pairings[c[used, None] + c]
         table[np.ix_(c == 0, used)] *= pairings[c[used]]
-    return table[np.ix_(cols, cols)]
+    return np.take(table[cols], cols, axis=1, out=mat)
 
 
 def real_gaussian_moment_operator(d: int, n: int) -> Operator:

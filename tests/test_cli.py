@@ -370,6 +370,21 @@ def test_symmetrizer_refusal_comes_before_the_string_types(capsys):
     )
 
 
+def test_matching_sum_refusal_comes_before_the_string_types(capsys):
+    # as for the symmetrizer: reading the types of 2^21 strings first took 1.2 s
+    import time
+
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["--max-dim", "3000000", "mc", "meanpower", "--dist", "real-unit",
+                                   "--d", "2", "--n", "21", "--samples", "10"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    assert err == (
+        "dimension guard: Unable to allocate 32.0 TiB for an array with shape "
+        "(2097152, 2097152) and data type float64\n"
+    )
+
+
 def _traced_peak(capsys, argv):
     import tracemalloc
 

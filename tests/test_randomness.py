@@ -177,10 +177,10 @@ def test_haar_moment_operator_normalization():
 
 @pytest.mark.parametrize("d,count", [(1, 1), (2, 7), (16, 1024), (256, 300)])
 def test_haar_state_batch_bit_identical_to_sum_expression(d, count):
-    # the in-place builder must reproduce (x + 1j*y) / norm bit for bit, so
-    # every seeded estimate and report stays unchanged
-    gen = RngStream(31, d).generator()
-    z = gen.standard_normal((count, d)) + 1j * gen.standard_normal((count, d))
+    # the in-place builder pins the draw order, each entry's real part then its
+    # imaginary part, that haar_state_chunks must reproduce chunk by chunk
+    x = RngStream(31, d).generator().standard_normal((count, d, 2))
+    z = x[..., 0] + 1j * x[..., 1]
     want = z / np.linalg.norm(z, axis=1, keepdims=True)
     got = haar_state_batch(d, RngStream(31, d).generator(), count)
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -203,7 +203,8 @@ def test_haar_state_chunks_bit_identical_to_batch(d, extra):
     count = 2 * rows + extra
     want = haar_state_batch(d, RngStream(32, d).block_generator(0), count)
     starts, chunks = [], []
-    for start, chunk in haar_state_chunks(d, RngStream(32, d).block_generator(0), count, np.empty((count, d))):
+    buffer = np.empty((count, d), dtype=complex)
+    for start, chunk in haar_state_chunks(d, RngStream(32, d).block_generator(0), count, buffer):
         assert len(chunk) <= rows
         starts.append(start)
         chunks.append(chunk.copy())
@@ -212,11 +213,11 @@ def test_haar_state_chunks_bit_identical_to_batch(d, extra):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_haar_state_chunks_fill_a_larger_real_buffer():
-    real = np.full((50, 9), np.nan)
-    got = np.concatenate([c.copy() for _, c in haar_state_chunks(9, RngStream(33).generator(), 40, real)])
+def test_haar_state_chunks_fill_a_larger_buffer():
+    z = np.full((50, 9), np.nan, dtype=complex)
+    got = np.concatenate([c.copy() for _, c in haar_state_chunks(9, RngStream(33).generator(), 40, z)])
     assert got.tobytes() == haar_state_batch(9, RngStream(33).generator(), 40).tobytes()
-    assert np.isnan(real[40:]).all()
+    assert np.isnan(z[40:]).all()
 
 
 def _haar_sampler(gen, m):

@@ -1,9 +1,9 @@
-"""The Schmidt-tail sampler streamed from a twin generator, and the size guards
-on the Monte Carlo builders.
+"""The Haar states streamed chunk by chunk behind the Schmidt tail and the
+projector moment, and the size guards on the Monte Carlo builders.
 
-``haar_state_chunks`` reads each chunk's real parts from a copy of the block
-generator, so it needs only a chunk-sized buffer of real parts; its rows, and
-the state it leaves the block generator in, must equal ``haar_state_batch``.
+``haar_state_chunks`` draws each chunk of rows straight into one chunk-sized
+complex buffer; its rows, and the state it leaves the block generator in, must
+equal ``haar_state_batch``.
 """
 
 import tracemalloc
@@ -34,15 +34,15 @@ def test_chunk_sized_buffer_gives_batch_rows_and_generator_state(d):
     batch_gen = RngStream(40, d).block_generator(0)
     want = haar_state_batch(d, batch_gen, count)
     gen = RngStream(40, d).block_generator(0)
-    real = np.full((rows + 2, d), np.nan)
+    z = np.full((rows + 2, d), np.nan, dtype=complex)
     starts, chunks = [], []
-    for start, chunk in haar_state_chunks(d, gen, count, real):
+    for start, chunk in haar_state_chunks(d, gen, count, z):
         starts.append(start)
         chunks.append(chunk.copy())
     assert starts == list(range(0, count, rows))
     got = np.concatenate(chunks)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert np.isnan(real[rows:]).all()
+    assert np.isnan(z[rows:]).all()
     assert gen.standard_normal(5).tobytes() == batch_gen.standard_normal(5).tobytes()
 
 
@@ -56,6 +56,37 @@ def test_schmidt_tail_traced_peak_is_a_few_chunks():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+def test_projector_moment_traced_peak_is_a_few_chunks():
+    # a whole block of draws at dim = 1024 is 16 MiB; a chunk a thread is 0.25 MiB
+    mc_projector_moment(64, 8, 2, 10, RngStream(26))  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        mc_projector_moment(1024, 8, 2, 4096, RngStream(26))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
+def test_schmidt_tail_draws_two_normals_per_entry(monkeypatch):
+    drawn = []  # outside the generator, so copies of it count here too
+
+    class Counting:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, *args, **kwargs):
+            x = self.gen.standard_normal(*args, **kwargs)
+            drawn.append(np.size(x))
+            return x
+
+    block_generator = RngStream.block_generator
+    monkeypatch.setattr(RngStream, "block_generator", lambda self, block: Counting(block_generator(self, block)))
+    d, samples = 8, 1500
+    experiment_schmidt_tail(d, samples, 0.2, RngStream(27))
+    assert sum(drawn) == 2 * d * d * samples
 
 
 def test_schmidt_tail_two_blocks_of_four_row_chunks_match_whole_block_svd():
