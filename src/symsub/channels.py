@@ -32,7 +32,7 @@ import numpy as np
 
 from .exactcomb import _homogeneous_sum, binomial, enumerate_types, mp_clone_coefficient, sym_dim
 from .guards import guard_dimension
-from .tensorspace import Operator, _dense, _multinomials, _type_isometry_matrix, _type_rank, copy_dims, sym_projector_group
+from .tensorspace import Operator, _dense, _multinomials, _type_rank, copy_dims, sym_projector_group, type_isometry
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -272,8 +272,8 @@ def trace_channel_sym(d: int, n: int, k: int) -> Superoperator:
 
 def compress_superoperator(s: Superoperator, d: int, n_in: int, n_out: int) -> Superoperator:
     """Conjugate a full-space channel into symmetric coordinates on both ends."""
-    v_in = _type_isometry_matrix(d, n_in)
-    v_out = _type_isometry_matrix(d, n_out)
+    v_in = type_isometry(d, n_in).entries
+    v_out = type_isometry(d, n_out).entries
     left = np.kron(v_out.T, v_out.conj().T)
     right = np.kron(v_in.conj(), v_in)
     return Superoperator(left @ s.matrix @ right, (sym_dim(d, n_in),), (sym_dim(d, n_out),))
@@ -292,13 +292,13 @@ def f_overlap(d: int, n: int, k: int, x: Fraction | int) -> Fraction:
     """Exact fidelity polynomial f(x) = c sum_s C(k,s)C(n,s)/C(n+k,k) x^s with
     c = sym_dim(d,n)/sym_dim(d,n+k); equals tr[beta^(x k) MP(alpha^(x n))] at
     x = |<alpha|beta>|^2."""
+    if k < 0:  # the empty sum
+        return Fraction(0)
     xf = Fraction(x)
     p, q = xf.numerator, xf.denominator
     denom = binomial(n + k, k)
     acc = _homogeneous_sum([binomial(k, s) * binomial(n, s) for s in range(k + 1)], p, q)
     fidelity = estimation_fidelity(d, n, k)
-    if k < 0:  # the empty sum
-        return Fraction(0)
     return Fraction(fidelity.numerator * acc, fidelity.denominator * denom * q**k)
 
 

@@ -34,11 +34,19 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 1
 
 
+def _float(value: Fraction) -> float:
+    """float(value), or the infinity it overflows to past float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _fmt(value):
     if isinstance(value, Fraction):
         # huge exact rationals (tail bounds at large n) fall back to floats
         if value.numerator.bit_length() > 12000 or value.denominator.bit_length() > 12000:
-            return format(float(value), ".17g")
+            return format(_float(value), ".17g")
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):
         return format(value, ".17g")
@@ -258,7 +266,7 @@ def cmd_bound_tail(args, rep: Report) -> None:
 
     part = concentration.MultiPartition(_parse_dims(args.dims))
     result = concentration.tail_bound(part, args.r, args.gamma, args.nmax)
-    rep.table("per_n", ["n", "bound"], [[n, float(v)] for n, v in result.per_n])
+    rep.table("per_n", ["n", "bound"], [[n, _float(v)] for n, v in result.per_n])
     rep.check("all_terms_positive", True, all(v > 0 for _, v in result.per_n))
     rep.check("minimizing_n", result.n_star, result.n_star)
     rep.check("min_bound", result.bound, result.bound)

@@ -318,15 +318,15 @@ def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStr
     largest squared Schmidt coefficient against the bound
     Pr[lambda_max >= (16/(e d)) e^eps] <= e^(-d eps).
 
-    The states stream through ``haar_state_chunks`` and the blocks run through
-    ``randomness._map_blocks``: each of its (at most two) threads holds one
-    complex chunk buffer of ``CHUNK_BYTES`` and its transients plus
-    8 min(BLOCK_SIZE, samples) bytes of lambda_max values, whatever d, and the
-    report is bit-identical to SVDs of whole ``haar_state_batch`` blocks.
+    ``haar_state_batch`` draws the states a chunk at a time into a buffer and the
+    blocks run through ``randomness._map_blocks``: each of its (at most two)
+    threads holds one complex chunk buffer of ``CHUNK_BYTES`` and its transients
+    plus 8 min(BLOCK_SIZE, samples) bytes of lambda_max values, whatever d, and
+    the report is bit-identical to SVDs of whole ``haar_state_batch`` blocks.
     """
     import numpy as np
 
-    from .randomness import BLOCK_SIZE, _map_blocks, chunk_rows, haar_state_chunks
+    from .randomness import BLOCK_SIZE, _map_blocks, chunk_rows, haar_state_batch
 
     if d < 1:
         raise ValueError("d must be positive")
@@ -346,7 +346,9 @@ def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStr
 
     def block_tail(block: int, size: int, buffers: tuple[np.ndarray, np.ndarray]) -> tuple[int, float]:
         z, lam = buffers
-        for start, psi in haar_state_chunks(d * d, stream.block_generator(block), size, z):
+        gen = stream.block_generator(block)
+        for start in range(0, size, len(z)):
+            psi = haar_state_batch(d * d, gen, min(len(z), size - start), out=z)
             svals = np.linalg.svd(psi.reshape(-1, d, d), compute_uv=False)
             np.square(svals[:, 0], out=lam[start : start + len(psi)])
         return int(np.sum(lam[:size] >= threshold)), float(lam[:size].sum())

@@ -297,6 +297,10 @@ def rising_factorial_dim(d: int, n: int) -> Fraction:
     partial value is the binomial C(m+j, j) <= sym_dim(d, n): the division is
     exact and, under the type cap, every partial value fits in 22 bits.
     """
+    if d < 1:
+        raise ValueError("d must be positive")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     m, v = max(n, d - 1), 1
     for j in range(1, min(n, d - 1) + 1):
         v = v * (m + j) // j

@@ -14,9 +14,10 @@ the CPU count.
 
 Draw order of a block of Haar states: row by row, each entry's real part and
 then its imaginary part, drawn straight into the complex array.  ``Generator``
-fills arrays element by element, so ``haar_state_chunks`` can draw a block one
-chunk of rows at a time into one complex buffer and still reproduce
-``haar_state_batch`` bit for bit, leaving the generator in the same state.
+fills arrays element by element, so successive ``haar_state_batch`` calls on
+one generator, each drawing a chunk of rows into the same complex buffer
+through ``out``, reproduce one whole ``haar_state_batch`` draw bit for bit and
+leave the generator in the same state.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .guards import guard_dimension
 from .tensorspace import Operator, _string_types, _tensor_power_rows, copy_dims, sym_projector_group
 
 BLOCK_SIZE = 1024
-# bytes of complex rows in one chunk of haar_state_chunks; drawing and
-# normalizing a chunk holds about 2 times this at its peak, buffer included
+# bytes of complex rows in one chunk of a streamed block of Haar states; drawing
+# and normalizing a chunk holds about 2 times this at its peak, buffer included
 CHUNK_BYTES = 1 << 18
 # split indices; index + 1 must fit the 16 bits split gives it
 SPLIT_LIMIT = (1 << 16) - 1
@@ -141,37 +142,24 @@ def _map_blocks(fn: Callable, total: int, scratch: Callable[[], object]) -> list
 # samplers
 # ---------------------------------------------------------------------------
 
-def haar_state_batch(d: int, gen: np.random.Generator, count: int) -> np.ndarray:
+def haar_state_batch(d: int, gen: np.random.Generator, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """(count, d) array of Haar-random unit vectors (normalized complex Gaussians),
     each entry's real then imaginary part drawn straight into the complex array:
     bit for bit ``(x[..., 0] + 1j*x[..., 1]) / norm`` for ``x = gen.standard_normal((count, d, 2))``.
+
+    Given ``out``, a C-contiguous complex buffer of at least ``count`` rows of
+    ``d``, the states are drawn into its first ``count`` rows and those rows
+    are returned; the rows past them are left untouched.
     """
-    z = np.empty((count, d), dtype=complex)
+    z = np.empty((count, d), dtype=complex) if out is None else out[:count]
     gen.standard_normal(out=z.view(float))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z
 
 
 def chunk_rows(d: int) -> int:
-    """Rows of length ``d`` in one chunk of ``haar_state_chunks``."""
+    """Rows of length ``d`` in ``CHUNK_BYTES`` of complex entries, at least one."""
     return max(1, CHUNK_BYTES // (16 * d))
-
-
-def haar_state_chunks(d: int, gen: np.random.Generator, count: int, z: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """The rows of ``haar_state_batch(d, gen, count)``, bit for bit, as
-    ``(start, rows)`` chunks of at most ``CHUNK_BYTES`` bytes each (one row
-    when a row is larger), leaving ``gen`` where ``haar_state_batch`` leaves it.
-
-    Each chunk is drawn into the complex buffer ``z`` of at least
-    ``min(count, chunk_rows(d))`` rows of ``d`` (rows past that are left
-    untouched), so the yielded rows are overwritten by the next chunk.
-    """
-    rows = chunk_rows(d)
-    for start in range(0, count, rows):
-        chunk = z[: min(rows, count - start)]
-        gen.standard_normal(out=chunk.view(float))
-        chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)
-        yield start, chunk
 
 
 def gaussian_batch(d: int, field: str, gen: np.random.Generator, count: int) -> np.ndarray:

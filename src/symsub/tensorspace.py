@@ -234,24 +234,19 @@ def sym_projector_enumerated(d: int, n: int) -> Operator:
     return Operator(acc / factorial(n), copy_dims(d, n), copy_dims(d, n))
 
 
-def _type_isometry_matrix(d: int, n: int) -> np.ndarray:
-    """The type isometry's matrix: string x holds 1/sqrt(M(n, t)) in the column of its type t."""
+def type_isometry(d: int, n: int) -> Operator:
+    """Isometry V whose columns are unit-normalized type states.
+
+    Columns follow the enumerate_types order: string x holds 1/sqrt(M(n, t)) in
+    the column of its type t, so each column has unit norm, V^dag V = I on
+    sym_dim(d, n) coordinates and V V^dag is the symmetric projector.
+    """
     guard_dimension(d**n)
     mat = np.zeros((d**n, sym_dim(d, n)))  # first, for the same reason as in sym_projector_group
     cols, types = _string_types(d, n)
     norms = 1.0 / np.sqrt(_multinomials(types, n).astype(float))
     mat[np.arange(d**n), cols] = norms[cols]
-    return mat
-
-
-def type_isometry(d: int, n: int) -> Operator:
-    """Isometry V whose columns are unit-normalized type states.
-
-    Columns follow the enumerate_types order; V^dag V = I on sym_dim(d, n)
-    coordinates and V V^dag is the symmetric projector.  Note the normalization
-    is 1/sqrt(multinomial) per string so each column has unit norm.
-    """
-    return Operator(_type_isometry_matrix(d, n), copy_dims(d, n), (sym_dim(d, n),))
+    return Operator(mat, copy_dims(d, n), (sym_dim(d, n),))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +374,7 @@ def tensor_power_span_rank(d: int, n: int, samples: int, stream) -> int:
     z = stream.generator().standard_normal((samples, 2, d))
     v = z[:, 0] + 1j * z[:, 1]
     w = _tensor_power_rows(v / np.linalg.norm(v, axis=1, keepdims=True), n)
-    a = w @ _type_isometry_matrix(d, n)
+    a = w @ type_isometry(d, n).entries
     rows = (a.conj()[:, :, None] * a[:, None, :]).reshape(samples, -1)  # column-stacked |a><a|
     svals = np.linalg.svd(rows, compute_uv=False)
     return int(np.sum(svals > 1e-8))

@@ -96,6 +96,22 @@ def test_bound_tail_csv(capsys):
     assert len([l for l in lines if l.startswith("per_n,")]) == 8
 
 
+def test_bound_tail_cell_past_float_range_reads_inf(capsys):
+    code, doc = _json_run(capsys, ["bound", "tail", "--dims", "2,2", "--r", "1", "--gamma", "1e-200", "--nmax", "2"])
+    assert code == 0 and doc["verdict"] == "pass"
+    assert doc["tables"]["per_n"]["rows"] == [[1, "9.9999999999999997e+199"], [2, "inf"]]
+
+
+def test_fmt_writes_a_rational_past_float_range_as_its_overflow():
+    from fractions import Fraction
+
+    from symsub.cli import _fmt
+
+    assert _fmt(Fraction(10**4000, 3)) == "inf"
+    assert _fmt(-Fraction(10**4000, 3)) == "-inf"
+    assert _fmt(Fraction(1, 10**4000)) == "0"
+
+
 def test_bound_smoothgap_exit_reflects_threshold(capsys):
     code, doc = _json_run(capsys, ["bound", "smoothgap", "--d", "2", "--x", "1"])
     assert code == 0 and doc["verdict"] == "pass"

@@ -67,6 +67,8 @@ def _mp_clone_polynomial_by_fractions(d, n, k, x):
 
 
 def _f_overlap_by_fractions(d, n, k, x):
+    if k < 0:  # the empty sum, before any binomial
+        return Fraction(0)
     xf = Fraction(x)
     acc = Fraction(0)
     power = Fraction(1)
@@ -212,7 +214,7 @@ def test_polynomials_at_one_are_normalisations():
 
 
 def test_polynomials_negative_k_and_bad_arguments_unchanged():
-    for d, n, k in [(2, 3, -1), (1, 0, -1), (2, 0, -2), (2, -1, 2), (0, 3, 2)]:
+    for d, n, k in [(2, 3, -1), (1, 0, -1), (2, 0, -2), (2, 1, -3), (2, 1, -2), (2, -1, 2), (0, 3, 2)]:
         for x in (Fraction(1, 3), -1):
             assert _outcome(mp_clone_polynomial, d, n, k, x) == _outcome(_mp_clone_polynomial_by_fractions, d, n, k, x)
             assert _outcome(f_overlap, d, n, k, x) == _outcome(_f_overlap_by_fractions, d, n, k, x)

@@ -288,6 +288,11 @@ def test_rising_factorial_dim_equals_the_product_over_n_factorial():
             num *= d + n
     assert rising_factorial_dim(2, 2**21 - 2) == 2**21 - 1
     assert rising_factorial_dim(1, 10**12) == 1
+    for d, n, message in [(0, 5, "d must be positive"), (-3, 2, "d must be positive"), (2, -1, "n must be nonnegative")]:
+        with pytest.raises(ValueError, match=message):
+            sym_dim(d, n)
+        with pytest.raises(ValueError, match=message):
+            rising_factorial_dim(d, n)
 
 
 def test_dims_command_finishes_at_d_one_and_a_trillion_copies():

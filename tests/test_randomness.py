@@ -16,7 +16,6 @@ from symsub.randomness import (
     haar_moment_operator,
     haar_state,
     haar_state_batch,
-    haar_state_chunks,
     haar_unitary,
     mc_projector_moment,
     mc_real_unit_moment,
@@ -178,7 +177,7 @@ def test_haar_moment_operator_normalization():
 @pytest.mark.parametrize("d,count", [(1, 1), (2, 7), (16, 1024), (256, 300)])
 def test_haar_state_batch_bit_identical_to_sum_expression(d, count):
     # the in-place builder pins the draw order, each entry's real part then its
-    # imaginary part, that haar_state_chunks must reproduce chunk by chunk
+    # imaginary part, that a block drawn chunk by chunk must reproduce
     x = RngStream(31, d).generator().standard_normal((count, d, 2))
     z = x[..., 0] + 1j * x[..., 1]
     want = z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -203,8 +202,10 @@ def test_haar_state_chunks_bit_identical_to_batch(d, extra):
     count = 2 * rows + extra
     want = haar_state_batch(d, RngStream(32, d).block_generator(0), count)
     starts, chunks = [], []
-    buffer = np.empty((count, d), dtype=complex)
-    for start, chunk in haar_state_chunks(d, RngStream(32, d).block_generator(0), count, buffer):
+    gen = RngStream(32, d).block_generator(0)
+    buffer = np.empty((min(count, rows), d), dtype=complex)
+    for start in range(0, count, len(buffer)):
+        chunk = haar_state_batch(d, gen, min(len(buffer), count - start), out=buffer)
         assert len(chunk) <= rows
         starts.append(start)
         chunks.append(chunk.copy())
@@ -215,9 +216,18 @@ def test_haar_state_chunks_bit_identical_to_batch(d, extra):
 
 def test_haar_state_chunks_fill_a_larger_buffer():
     z = np.full((50, 9), np.nan, dtype=complex)
-    got = np.concatenate([c.copy() for _, c in haar_state_chunks(9, RngStream(33).generator(), 40, z)])
+    got = haar_state_batch(9, RngStream(33).generator(), 40, out=z).copy()
     assert got.tobytes() == haar_state_batch(9, RngStream(33).generator(), 40).tobytes()
     assert np.isnan(z[40:]).all()
+
+
+@pytest.mark.parametrize("d,m", [(1, 1), (9, 40), (1024, 3)])
+def test_haar_state_batch_draws_into_a_view_of_out(d, m):
+    buf = np.full((m + 5, d), np.nan, dtype=complex)
+    got = haar_state_batch(d, RngStream(34, d).generator(), m, out=buf)
+    assert got.shape == (m, d) and np.shares_memory(got, buf)
+    assert got.tobytes() == buf[:m].tobytes() == haar_state_batch(d, RngStream(34, d).generator(), m).tobytes()
+    assert np.isnan(buf[m:]).all()
 
 
 def _haar_sampler(gen, m):

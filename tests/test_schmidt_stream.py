@@ -1,9 +1,10 @@
 """The Haar states streamed chunk by chunk behind the Schmidt tail and the
 projector moment, and the size guards on the Monte Carlo builders.
 
-``haar_state_chunks`` draws each chunk of rows straight into one chunk-sized
-complex buffer; its rows, and the state it leaves the block generator in, must
-equal ``haar_state_batch``.
+A block is drawn by successive ``haar_state_batch`` calls, each drawing one
+chunk of rows straight into the same chunk-sized complex buffer through
+``out``; their rows, and the state they leave the block generator in, must
+equal one whole ``haar_state_batch`` draw.
 """
 
 import tracemalloc
@@ -19,7 +20,6 @@ from symsub.randomness import (
     RngStream,
     chunk_rows,
     haar_state_batch,
-    haar_state_chunks,
     haar_unitary,
     mc_projector_moment,
     random_projector,
@@ -36,9 +36,9 @@ def test_chunk_sized_buffer_gives_batch_rows_and_generator_state(d):
     gen = RngStream(40, d).block_generator(0)
     z = np.full((rows + 2, d), np.nan, dtype=complex)
     starts, chunks = [], []
-    for start, chunk in haar_state_chunks(d, gen, count, z):
+    for start in range(0, count, rows):
+        chunks.append(haar_state_batch(d, gen, min(rows, count - start), out=z).copy())
         starts.append(start)
-        chunks.append(chunk.copy())
     assert starts == list(range(0, count, rows))
     got = np.concatenate(chunks)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

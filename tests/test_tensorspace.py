@@ -236,9 +236,9 @@ def _type_isometry_by_rows(d, n):
 
 @pytest.mark.parametrize("d,n", [(2, 10), (3, 6), (64, 2), (1, 5), (1, 0), (3, 0), (5, 3)])
 def test_type_isometry_matches_row_loop(d, n):
-    from symsub.tensorspace import _type_isometry_matrix
+    from symsub.tensorspace import type_isometry
 
-    assert np.array_equal(_type_isometry_matrix(d, n), _type_isometry_by_rows(d, n))
+    assert np.array_equal(type_isometry(d, n).entries, _type_isometry_by_rows(d, n))
 
 
 def _symmetrizer_by_fancy_index(d, n):
