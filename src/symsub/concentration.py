@@ -318,15 +318,12 @@ def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStr
     largest squared Schmidt coefficient against the bound
     Pr[lambda_max >= (16/(e d)) e^eps] <= e^(-d eps).
 
-    ``haar_state_batch`` draws the states a chunk at a time into a buffer and the
-    blocks run through ``randomness._map_blocks``: each of its (at most two)
-    threads holds one complex chunk buffer of ``CHUNK_BYTES`` and its transients
-    plus 8 min(BLOCK_SIZE, samples) bytes of lambda_max values, whatever d, and
-    the report is bit-identical to SVDs of whole ``haar_state_batch`` blocks.
+    Drawn a chunk at a time by ``randomness._block_sums``, the report is
+    bit-identical to SVDs of whole ``haar_state_batch`` blocks.
     """
     import numpy as np
 
-    from .randomness import BLOCK_SIZE, _map_blocks, chunk_rows, haar_state_batch
+    from .randomness import _block_sums, haar_state_batch
 
     if d < 1:
         raise ValueError("d must be positive")
@@ -339,25 +336,15 @@ def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStr
         threshold = 16.0 / (np.e * d) * exp(epsilon)
     except OverflowError:  # no squared Schmidt coefficient (at most 1) reaches it
         threshold = inf
-    block_rows = min(BLOCK_SIZE, samples)
 
-    def scratch() -> tuple[np.ndarray, np.ndarray]:
-        return np.empty((min(chunk_rows(d * d), block_rows), d * d), dtype=complex), np.empty(block_rows)
+    def top_schmidt(gen: np.random.Generator, chunk: np.ndarray) -> np.ndarray:
+        psi = haar_state_batch(d * d, gen, len(chunk), out=chunk)
+        return np.square(np.linalg.svd(psi.reshape(-1, d, d), compute_uv=False)[:, 0])
 
-    def block_tail(block: int, size: int, buffers: tuple[np.ndarray, np.ndarray]) -> tuple[int, float]:
-        z, lam = buffers
-        gen = stream.block_generator(block)
-        for start in range(0, size, len(z)):
-            psi = haar_state_batch(d * d, gen, min(len(z), size - start), out=z)
-            svals = np.linalg.svd(psi.reshape(-1, d, d), compute_uv=False)
-            np.square(svals[:, 0], out=lam[start : start + len(psi)])
-        return int(np.sum(lam[:size] >= threshold)), float(lam[:size].sum())
+    def tail(lam: np.ndarray) -> tuple[int, float]:
+        return int(np.sum(lam >= threshold)), float(lam.sum())
 
-    exceed = 0
-    top_sum = 0.0
-    for count, lam_sum in _map_blocks(block_tail, samples, scratch):
-        exceed += count
-        top_sum += lam_sum
+    exceed, top_sum = _block_sums(d * d, samples, stream, top_schmidt, tail)
     return SchmidtTailReport(
         d=d, samples=samples, epsilon=epsilon, threshold=threshold,
         exceedances=exceed, fraction=exceed / samples, bound=exp(-d * epsilon),

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import TYPE_CHECKING
 
 from .exactcomb import binomial, mp_clone_coefficient, sym_dim
@@ -112,16 +113,18 @@ def exp_definetti_identity_check(d: int, n: int, k: int, r: int) -> bool:
     M_{k-s,k-t} = C(n, k-t) C(d+k-s-1, t-s) / C(d+n+k-s-1, k-s) by its defining
     binomials.  Each x_s / C(d+n+k-s-1, k-s) and each y_t is reduced and put
     over one common denominator L, so L times the coefficient of every A_t is
-    an integer sum, compared with L e_0.
+    an integer sum, compared with L e_0.  Over the scaled heads h_s, the sums
+    sum_s h_s C(d+k-s-1, t-s) are the z^t coefficients of sum_s h_s z^s
+    (1+z)^(d+k-1-s), built by Horner's rule in (1+z) with no binomial.
     """
     c = exp_definetti_coefficients(d, n, k, r)
     heads = [xs / binomial(d + n + k - s - 1, k - s) for s, xs in enumerate(c.x)]
     common = lcm(*(f.denominator for f in heads + list(c.y)))
     acc = [0] * (k + 1)
-    for s, head in enumerate(heads):
-        scaled = head.numerator * (common // head.denominator)
-        for t in range(s, k + 1):
-            acc[t] += scaled * binomial(d + k - s - 1, t - s)
+    for p in range(d + k):
+        acc[1:] = map(add, acc[1:], acc)
+        if p < r:
+            acc[p] += heads[p].numerator * (common // heads[p].denominator)
     acc = [a * binomial(n, k - t) for t, a in enumerate(acc)]
     for t, yt in enumerate(c.y, start=r):
         acc[t] += yt.numerator * (common // yt.denominator)

@@ -6,18 +6,9 @@ Reproducibility contract: an estimator consumes samples in blocks of
 ``BLOCK_SIZE``; block b of a run draws from the generator seeded by
 ``SeedSequence(entropy=seed, spawn_key=(stream_id, b))``.  Identical
 (seed, stream_id) therefore reproduce bit-identical estimates.  The Schmidt
-tail and the projector moment run their blocks through ``_map_blocks``: on the
-calling thread plus one helper thread when more than one CPU is usable, on the
-calling thread alone otherwise.  Each block returns its own partial sums and
-the caller adds them in block order, so the results are bit-identical whatever
-the CPU count.
-
-Draw order of a block of Haar states: row by row, each entry's real part and
-then its imaginary part, drawn straight into the complex array.  ``Generator``
-fills arrays element by element, so successive ``haar_state_batch`` calls on
-one generator, each drawing a chunk of rows into the same complex buffer
-through ``out``, reproduce one whole ``haar_state_batch`` draw bit for bit and
-leave the generator in the same state.
+tail and the projector moment run their blocks through ``_block_sums``, on up
+to two threads, and add the blocks' partial sums in block order, so the
+results are bit-identical whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -26,7 +17,9 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import factorial
+from operator import add
 from typing import Callable, Iterator
 
 import numpy as np
@@ -36,8 +29,8 @@ from .guards import guard_dimension
 from .tensorspace import Operator, _string_types, _tensor_power_rows, copy_dims, sym_projector_group
 
 BLOCK_SIZE = 1024
-# bytes of complex rows in one chunk of a streamed block of Haar states; drawing
-# and normalizing a chunk holds about 2 times this at its peak, buffer included
+# bytes of complex rows in one chunk buffer of _block_sums; drawing and reducing
+# a chunk holds about 2 times this at its peak, buffer included
 CHUNK_BYTES = 1 << 18
 # split indices; index + 1 must fit the 16 bits split gives it
 SPLIT_LIMIT = (1 << 16) - 1
@@ -90,7 +83,7 @@ def _usable_cpus() -> int:
 
 def _map_blocks(fn: Callable, total: int, scratch: Callable[[], object]) -> list:
     """``[fn(block, size, buffers) for block, size in _blocks(total)]``, in
-    block order.
+    block order; ``_block_sums`` runs its blocks through it.
 
     With more than one block and more than one usable CPU, the calling thread
     runs the even blocks and one helper thread the odd ones; otherwise every
@@ -136,6 +129,33 @@ def _map_blocks(fn: Callable, total: int, scratch: Callable[[], object]) -> list
     if errors:
         raise errors[0]
     return results
+
+
+def _block_sums(width: int, total: int, stream: RngStream, per_row: Callable, sums: Callable) -> tuple:
+    """Block-order totals of ``sums`` over the blocks of ``total`` rows of
+    ``width`` complex entries, run through ``_map_blocks``.
+
+    Each thread holds a chunk buffer of ``min(chunk_rows(width), BLOCK_SIZE,
+    total)`` rows and a value buffer of ``min(BLOCK_SIZE, total)``.  Block b
+    walks its rows a chunk at a time: ``per_row(gen, chunk)`` draws into the
+    chunk from ``stream.block_generator(b)`` and returns one value a row, and
+    ``sums`` reduces the block's values on its thread.  ``Generator`` fills
+    arrays element by element, so the chunks draw the whole block's bits.
+    """
+    rows = min(chunk_rows(width), BLOCK_SIZE, total)
+
+    def scratch() -> tuple[np.ndarray, np.ndarray]:
+        return np.empty((rows, width), dtype=complex), np.empty(min(BLOCK_SIZE, total))
+
+    def one_block(block: int, size: int, buffers: tuple[np.ndarray, np.ndarray]) -> tuple:
+        chunk, values = buffers
+        gen = stream.block_generator(block)
+        for start in range(0, size, rows):
+            part = chunk[: min(rows, size - start)]
+            values[start : start + len(part)] = per_row(gen, part)
+        return sums(values[:size])
+
+    return tuple(reduce(add, column) for column in zip(*_map_blocks(one_block, total, scratch)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,35 +308,25 @@ def mc_projector_moment(dim: int, rank: int, n: int, total: int, stream: RngStre
     draw reduces to Haar states.  A row of ``haar_state_batch`` draws holds each
     entry's real and imaginary parts in turn, so the overlap is the sum of the
     row's first 2 rank squared draws over the sum of all 2 dim, in real
-    arithmetic.  Each block squares its draws in place one chunk of rows at a
-    time; the blocks run through ``_map_blocks``.
+    arithmetic on the real view of each chunk of ``_block_sums``.
     """
     if not 1 <= rank <= dim:
         raise ValueError("need 1 <= rank <= dim")
     _check_counts(n, total)
     guard_dimension(dim, "sample rows")  # a chunk holds at least one row of dim
 
-    def scratch() -> np.ndarray:
-        return np.empty((min(chunk_rows(dim), BLOCK_SIZE, total), 2 * dim))
+    def overlaps(gen: np.random.Generator, chunk: np.ndarray) -> np.ndarray:
+        sq = chunk.view(float)
+        np.square(gen.standard_normal(out=sq), out=sq)
+        return sq[:, : 2 * rank].sum(axis=1) / sq.sum(axis=1)
 
-    def block_sums(block: int, size: int, sq: np.ndarray) -> tuple[float, float]:
-        gen = stream.block_generator(block)
-        overlap = np.empty(size)
-        for start in range(0, size, len(sq)):
-            part = sq[: min(len(sq), size - start)]
-            np.square(gen.standard_normal(out=part), out=part)
-            np.divide(part[:, : 2 * rank].sum(axis=1), part.sum(axis=1), out=overlap[start : start + len(part)])
+    def moments(overlap: np.ndarray) -> tuple[float, float]:
         powered = overlap**n
         return float(powered.sum()), float((powered**2).sum())
 
-    acc1 = 0.0
-    acc2 = 0.0
-    for s1, s2 in _map_blocks(block_sums, total, scratch):
-        acc1 += s1
-        acc2 += s2
+    acc1, acc2 = _block_sums(dim, total, stream, overlaps, moments)
     mean = acc1 / total
-    var = max(acc2 / total - mean**2, 0.0)
-    return ScalarEstimate(mean, float(np.sqrt(var / total)), total)
+    return ScalarEstimate(mean, float(np.sqrt(max(acc2 / total - mean**2, 0.0) / total)), total)
 
 
 def mc_real_unit_moment(d: int, n: int, total: int, stream: RngStream) -> MatrixEstimate:

@@ -312,6 +312,25 @@ def test_identity_check_rejects_a_perturbed_coefficient(monkeypatch, field, inde
     assert definetti.exp_definetti_identity_check(d, n, k, r) is _identity_check_by_fractions(bad) is False
 
 
+def test_identity_check_takes_no_binomial_inside_its_double_sum(monkeypatch):
+    # the heads and the C(n, k-t) pass take k + 1 binomials each; a double loop
+    # over (s, t) would take about k^2 / 2
+    from symsub import definetti
+
+    d, n, k, r = 2, 300, 300, 300
+    c = exp_definetti_coefficients(d, n, k, r)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return binomial(*args)
+
+    monkeypatch.setattr(definetti, "exp_definetti_coefficients", lambda *args: c)
+    monkeypatch.setattr(definetti, "binomial", counting)
+    assert definetti.exp_definetti_identity_check(d, n, k, r)
+    assert len(calls) <= 3 * (k + 1)
+
+
 # ---------------------------------------------------------------------------
 # the Jacobi form as one integer equation
 # ---------------------------------------------------------------------------

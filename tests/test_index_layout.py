@@ -22,6 +22,7 @@ from symsub.randomness import (
     CHUNK_BYTES,
     RngStream,
     haar_state_batch,
+    mc_projector_moment,
     real_gaussian_moment_operator,
     real_unit_moment_operator,
 )
@@ -354,3 +355,28 @@ def test_streamed_schmidt_tail_matches_whole_block_svd(d, samples):
     assert (report.samples, report.threshold) == (samples, threshold)
     assert report.exceedances == exceed
     assert report.mean_top_schmidt == top_sum / samples
+
+
+# ---------------------------------------------------------------------------
+# projector-moment blocks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("total", [1, 1024, 1025, 5000])
+@pytest.mark.parametrize("dim,rank", [(64, 8), (4, 1), (65, 3), (1, 1), (1024, 8)])
+def test_projector_moment_matches_literal_block_loop(dim, rank, total, n):
+    stream = RngStream(51, dim)
+    acc1, acc2, done, block = 0.0, 0.0, 0, 0
+    while done < total:
+        size = min(1024, total - done)
+        sq = np.square(stream.block_generator(block).standard_normal((size, 2 * dim)))
+        powered = (sq[:, : 2 * rank].sum(axis=1) / sq.sum(axis=1)) ** n
+        acc1 += float(powered.sum())
+        acc2 += float((powered**2).sum())
+        done += size
+        block += 1
+    mean = acc1 / total
+    stderr = float(np.sqrt(max(acc2 / total - mean**2, 0.0) / total))
+    est = mc_projector_moment(dim, rank, n, total, stream)
+    assert np.float64(est.mean).tobytes() == np.float64(mean).tobytes()
+    assert np.float64(est.stderr).tobytes() == np.float64(stderr).tobytes()
