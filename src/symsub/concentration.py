@@ -318,12 +318,17 @@ def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStr
     largest squared Schmidt coefficient against the bound
     Pr[lambda_max >= (16/(e d)) e^eps] <= e^(-d eps).
 
-    Drawn a chunk at a time by ``randomness._block_sums``, the report is
-    bit-identical to SVDs of whole ``haar_state_batch`` blocks.
+    A sample is the top eigenvalue over the trace of the tridiagonal T = B B^T
+    of the beta = 2 Laguerre bidiagonal model (Dumitriu and Edelman,
+    math-ph/0206043; see ``randomness.schmidt_spectrum_batch``), which has the
+    law of the top squared Schmidt coefficient of a Haar state: 2d - 1
+    chi-squares a row instead of 2d^2 normals and a d x d SVD.  Drawn a chunk
+    at a time by ``randomness._block_sums``, the report is bit-identical to
+    one ``schmidt_spectrum_batch`` call a block.
     """
     import numpy as np
 
-    from .randomness import _block_sums, haar_state_batch
+    from .randomness import _block_sums, schmidt_spectrum_batch
 
     if d < 1:
         raise ValueError("d must be positive")
@@ -338,8 +343,7 @@ def experiment_schmidt_tail(d: int, samples: int, epsilon: float, stream: RngStr
         threshold = inf
 
     def top_schmidt(gen: np.random.Generator, chunk: np.ndarray) -> np.ndarray:
-        psi = haar_state_batch(d * d, gen, len(chunk), out=chunk)
-        return np.square(np.linalg.svd(psi.reshape(-1, d, d), compute_uv=False)[:, 0])
+        return schmidt_spectrum_batch(d, gen, len(chunk), out=chunk)[:, -1]
 
     def tail(lam: np.ndarray) -> tuple[int, float]:
         return int(np.sum(lam >= threshold)), float(lam.sum())

@@ -115,17 +115,26 @@ def exp_definetti_identity_check(d: int, n: int, k: int, r: int) -> bool:
     over one common denominator L, so L times the coefficient of every A_t is
     an integer sum, compared with L e_0.  Over the scaled heads h_s, the sums
     sum_s h_s C(d+k-s-1, t-s) are the z^t coefficients of sum_s h_s z^s
-    (1+z)^(d+k-1-s), built by Horner's rule in (1+z) with no binomial.
+    (1+z)^(d+k-1-s), built by Horner's rule in (1+z) with no binomial.  The
+    heads' binomials step down from C(d+n+k-1, k) by C(m-1, j-1) = C(m, j) j / m,
+    and the row C(n, j) up from C(n, 0) = 1 by C(n, j+1) = C(n, j) (n-j) / (j+1),
+    each division exact, so the check takes one binomial.
     """
     c = exp_definetti_coefficients(d, n, k, r)
-    heads = [xs / binomial(d + n + k - s - 1, k - s) for s, xs in enumerate(c.x)]
+    heads, b = [], binomial(d + n + k - 1, k)
+    for s, xs in enumerate(c.x):  # b = C(d+n+k-s-1, k-s)
+        heads.append(xs / b)
+        b = b * (k - s) // (d + n + k - s - 1)
     common = lcm(*(f.denominator for f in heads + list(c.y)))
     acc = [0] * (k + 1)
     for p in range(d + k):
         acc[1:] = map(add, acc[1:], acc)
         if p < r:
             acc[p] += heads[p].numerator * (common // heads[p].denominator)
-    acc = [a * binomial(n, k - t) for t, a in enumerate(acc)]
+    b = 1
+    for j in range(k + 1):  # b = C(n, j) scales the coefficient of A_{k-j}
+        acc[k - j] *= b
+        b = b * (n - j) // (j + 1)
     for t, yt in enumerate(c.y, start=r):
         acc[t] += yt.numerator * (common // yt.denominator)
     return acc == [common] + [0] * k

@@ -9,6 +9,17 @@ Reproducibility contract: an estimator consumes samples in blocks of
 tail and the projector moment run their blocks through ``_block_sums``, on up
 to two threads, and add the blocks' partial sums in block order, so the
 results are bit-identical whatever the CPU count.
+
+Neither of those two draws whole Haar states, only the statistic each keeps,
+from its exact law at O(d) draws a row.  The overlap of a Haar state in C^D
+with a fixed rank-r subspace is Beta(r, D - r), a Gamma(r) over its sum with
+an independent Gamma(D - r), since a chi-square with 2r degrees of freedom is
+2 Gamma(r).  The squared Schmidt coefficients of a Haar state on
+C^d (x) C^d are the eigenvalues of G G^dag over its trace for a d x d complex
+Ginibre matrix G, which have the law of those of a real tridiagonal B B^T
+with B bidiagonal of independent chi entries: the beta = 2 Laguerre
+bidiagonal model of Dumitriu and Edelman (math-ph/0206043), built in
+``schmidt_spectrum_batch``.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from .guards import guard_dimension
 from .tensorspace import Operator, _string_types, _tensor_power_rows, copy_dims, sym_projector_group
 
 BLOCK_SIZE = 1024
-# bytes of complex rows in one chunk buffer of _block_sums; drawing and reducing
+# bytes of float rows in one chunk buffer of _block_sums; drawing and reducing
 # a chunk holds about 2 times this at its peak, buffer included
 CHUNK_BYTES = 1 << 18
 # split indices; index + 1 must fit the 16 bits split gives it
@@ -133,19 +144,24 @@ def _map_blocks(fn: Callable, total: int, scratch: Callable[[], object]) -> list
 
 def _block_sums(width: int, total: int, stream: RngStream, per_row: Callable, sums: Callable) -> tuple:
     """Block-order totals of ``sums`` over the blocks of ``total`` rows of
-    ``width`` complex entries, run through ``_map_blocks``.
+    ``width`` float entries, run through ``_map_blocks``.
 
     Each thread holds a chunk buffer of ``min(chunk_rows(width), BLOCK_SIZE,
     total)`` rows and a value buffer of ``min(BLOCK_SIZE, total)``.  Block b
-    walks its rows a chunk at a time: ``per_row(gen, chunk)`` draws into the
-    chunk from ``stream.block_generator(b)`` and returns one value a row, and
-    ``sums`` reduces the block's values on its thread.  ``Generator`` fills
-    arrays element by element, so the chunks draw the whole block's bits.
+    walks its rows a chunk at a time: ``per_row(gen, chunk)`` draws a row's
+    sample from ``stream.block_generator(b)`` in one call a chunk, uses the
+    chunk as its scratch and returns one value a row, and ``sums`` reduces the
+    block's values on its thread.  ``Generator`` draws an array element by
+    element in row-major order, so the chunks draw the whole block's bits.
+    The two users draw a row's statistic from its exact law: the projector
+    moment a pair of gammas (its overlap is Beta(rank, dim - rank)), the
+    Schmidt tail the 2d - 1 chi-squares of Dumitriu and Edelman's bidiagonal
+    model (math-ph/0206043), into a chunk of d x d tridiagonal matrices.
     """
     rows = min(chunk_rows(width), BLOCK_SIZE, total)
 
     def scratch() -> tuple[np.ndarray, np.ndarray]:
-        return np.empty((rows, width), dtype=complex), np.empty(min(BLOCK_SIZE, total))
+        return np.empty((rows, width)), np.empty(min(BLOCK_SIZE, total))
 
     def one_block(block: int, size: int, buffers: tuple[np.ndarray, np.ndarray]) -> tuple:
         chunk, values = buffers
@@ -177,9 +193,37 @@ def haar_state_batch(d: int, gen: np.random.Generator, count: int, out: np.ndarr
     return z
 
 
-def chunk_rows(d: int) -> int:
-    """Rows of length ``d`` in ``CHUNK_BYTES`` of complex entries, at least one."""
-    return max(1, CHUNK_BYTES // (16 * d))
+def chunk_rows(width: int) -> int:
+    """Rows of ``width`` float entries in ``CHUNK_BYTES``, at least one."""
+    return max(1, CHUNK_BYTES // (8 * width))
+
+
+def schmidt_spectrum_batch(d: int, gen: np.random.Generator, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(count, d) array of the squared Schmidt coefficients of Haar states on
+    C^d (x) C^d, ascending, each row divided by its trace.
+
+    The beta = 2 Laguerre bidiagonal model (Dumitriu and Edelman,
+    math-ph/0206043): one ``gen.chisquare(df, size=(count, 2d - 1))`` call
+    with df = 2 (d, d-1, ..., 1, d-1, ..., 1) gives a row's squared diagonal
+    a_i (the first d) and squared subdiagonal s_i (the other d - 1) of a
+    lower bidiagonal B.  The real tridiagonal T = B B^T, diagonal
+    a_i + s_{i-1} and off-diagonal sqrt(a_i s_i), has the eigenvalues of
+    G G^dag for a d x d complex Ginibre G, and a Haar state read as a d x d
+    matrix is G / ||G||_F, so the coefficients are eigvalsh(T) / tr T.
+
+    Given ``out``, a C-contiguous float buffer of at least ``count`` rows of
+    ``d * d``, T is built in its first ``count`` rows; the rows past them are
+    left untouched.
+    """
+    df = 2.0 * np.r_[d:0:-1, d - 1 : 0 : -1]
+    sq = gen.chisquare(df, size=(count, 2 * d - 1))
+    diag, sub = sq[:, :d], sq[:, d:]
+    t = np.empty((count, d * d)) if out is None else out[:count]
+    t.fill(0.0)
+    t[:, :: d + 1] = diag
+    t[:, d + 1 :: d + 1] += sub
+    np.sqrt(diag[:, :-1] * sub, out=t[:, d :: d + 1])  # T[i+1, i], in the lower triangle eigvalsh reads
+    return np.linalg.eigvalsh(t.reshape(count, d, d)) / sq.sum(axis=1, keepdims=True)
 
 
 def gaussian_batch(d: int, field: str, gen: np.random.Generator, count: int) -> np.ndarray:
@@ -304,27 +348,29 @@ def mc_projector_moment(dim: int, rank: int, n: int, total: int, stream: RngStre
     with phi the fixed pure state |0><0|.
 
     tr(U^dag Pi_0 U |0><0|) is the squared norm of the first ``rank`` entries of
-    the first column of U, and that column is itself a Haar unit vector, so the
-    draw reduces to Haar states.  A row of ``haar_state_batch`` draws holds each
-    entry's real and imaginary parts in turn, so the overlap is the sum of the
-    row's first 2 rank squared draws over the sum of all 2 dim, in real
-    arithmetic on the real view of each chunk of ``_block_sums``.
+    the first column of U, a Haar unit vector in C^dim: a chi-square with
+    2 rank degrees of freedom over itself plus an independent one with
+    2 (dim - rank).  As a chi-square with 2r degrees of freedom is 2 Gamma(r),
+    each row draws ``gen.standard_gamma([rank, dim - rank])`` as (a, b) and
+    keeps a / (a + b), a Beta(rank, dim - rank) overlap; at rank = dim the
+    shape 0 gives b = 0 and the overlap 1.
     """
     if not 1 <= rank <= dim:
         raise ValueError("need 1 <= rank <= dim")
     _check_counts(n, total)
-    guard_dimension(dim, "sample rows")  # a chunk holds at least one row of dim
+    # no row of dim is drawn; the guard keeps the refusals of random_projector,
+    # whose overlap this samples, and with them the CLI's exit 3 for mc moment
+    guard_dimension(dim, "sample rows")
 
     def overlaps(gen: np.random.Generator, chunk: np.ndarray) -> np.ndarray:
-        sq = chunk.view(float)
-        np.square(gen.standard_normal(out=sq), out=sq)
-        return sq[:, : 2 * rank].sum(axis=1) / sq.sum(axis=1)
+        a, b = gen.standard_gamma([rank, dim - rank], out=chunk).T
+        return a / (a + b)
 
     def moments(overlap: np.ndarray) -> tuple[float, float]:
         powered = overlap**n
         return float(powered.sum()), float((powered**2).sum())
 
-    acc1, acc2 = _block_sums(dim, total, stream, overlaps, moments)
+    acc1, acc2 = _block_sums(2, total, stream, overlaps, moments)
     mean = acc1 / total
     return ScalarEstimate(mean, float(np.sqrt(max(acc2 / total - mean**2, 0.0) / total)), total)
 

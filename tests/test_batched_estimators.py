@@ -1,5 +1,5 @@
-"""The restart-batched product-overlap ascent and the real-arithmetic projector
-moment against the per-restart and complex-array forms they replace."""
+"""The restart-batched product-overlap ascent against the per-restart form it
+replaces, and the projector moment's Beta-law draw against Haar states."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from symsub.randomness import (
     _blocks,
     haar_state_batch,
     mc_projector_moment,
+    projector_moment_exact,
     random_projector,
 )
 from symsub.tensorspace import Operator
@@ -107,14 +108,28 @@ def _moment_from_haar_states(dim, rank, n, total, stream):
     return mean, float(np.sqrt(max(acc2 / total - mean**2, 0.0) / total))
 
 
+def _two_sample_z(dim, rank, n, total, est, mean, var):
+    """z scores of the differences of two independent estimates' means and
+    sample variances of X = overlap^n, each difference over its standard
+    deviation from the exact raw moments E X^j = projector_moment_exact(dim, rank, j n)."""
+    m1, m2, m3, m4 = (float(projector_moment_exact(dim, rank, j * n)) for j in (1, 2, 3, 4))
+    sigma2 = m2 - m1**2
+    mu4 = m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4
+    z_mean = (est.mean - mean) / np.sqrt(2 * sigma2 / total)
+    z_var = (est.stderr**2 * total - var) / np.sqrt(2 * (mu4 - sigma2**2) / total)
+    return z_mean, z_var
+
+
 @pytest.mark.parametrize("dim,rank,n", [(64, 8, 3), (4, 1, 2), (8, 2, 2)])
 def test_projector_moment_matches_haar_states(dim, rank, n):
-    # the complex path rounds each overlap its own way (a fused multiply-add
-    # in the norm, a reciprocal in the division), so equality is to rounding
+    # the estimator draws each overlap from its Beta(rank, dim - rank) law, so it
+    # matches the Haar-state loop in law, not in its numbers: a two-sample test
+    # on independent streams at |z| <= 5, a false-alarm rate of about 6e-7 a
+    # statistic (normal approximation), 1e-5 over the 18 here
     for seed in range(3):
-        stream = RngStream(seed, 1)
-        mean, stderr = _moment_from_haar_states(dim, rank, n, 5000, stream)
-        est = mc_projector_moment(dim, rank, n, 5000, stream)
+        mean, stderr = _moment_from_haar_states(dim, rank, n, 5000, RngStream(seed, 2))
+        est = mc_projector_moment(dim, rank, n, 5000, RngStream(seed, 1))
         assert est.samples == 5000
-        assert abs(est.mean - mean) <= 1e-14 * mean
-        assert abs(est.stderr - stderr) <= 1e-12 * stderr
+        z_mean, z_var = _two_sample_z(dim, rank, n, 5000, est, mean, stderr**2 * 5000)
+        assert abs(z_mean) <= 5
+        assert abs(z_var) <= 5

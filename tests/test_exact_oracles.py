@@ -331,6 +331,25 @@ def test_identity_check_takes_no_binomial_inside_its_double_sum(monkeypatch):
     assert len(calls) <= 3 * (k + 1)
 
 
+@pytest.mark.parametrize("d,n,k,r", [(2, 60, 60, 60), (3, 40, 12, 5), (1, 7, 7, 0), (4, 9, 3, 3)])
+def test_identity_check_steps_its_binomial_rows(monkeypatch, d, n, k, r):
+    # the heads' C(d+n+k-s-1, k-s) and the row C(n, k-t) come by exact ratio
+    # steps from at most two binomials, not one binomial an entry
+    from symsub import definetti
+
+    c = exp_definetti_coefficients(d, n, k, r)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return binomial(*args)
+
+    monkeypatch.setattr(definetti, "exp_definetti_coefficients", lambda *args: c)
+    monkeypatch.setattr(definetti, "binomial", counting)
+    assert definetti.exp_definetti_identity_check(d, n, k, r) is _identity_check_by_fractions(c)
+    assert len(calls) <= 2
+
+
 # ---------------------------------------------------------------------------
 # the Jacobi form as one integer equation
 # ---------------------------------------------------------------------------

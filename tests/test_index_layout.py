@@ -21,7 +21,6 @@ from symsub.exactcomb import real_moment_ratio, sym_dim
 from symsub.randomness import (
     CHUNK_BYTES,
     RngStream,
-    haar_state_batch,
     mc_projector_moment,
     real_gaussian_moment_operator,
     real_unit_moment_operator,
@@ -317,14 +316,27 @@ def test_trace_channel_matches_kron_kraus(d, n, k):
 # Schmidt-tail blocks
 # ---------------------------------------------------------------------------
 
+def _bidiagonal_tops(d, gen, size):
+    """One block's top eigenvalues over the traces of B B^T, B lower bidiagonal
+    with squared diagonal a and subdiagonal s drawn as one block of chi-squares."""
+    df = 2.0 * np.array(list(range(d, 0, -1)) + list(range(d - 1, 0, -1)))
+    sq = gen.chisquare(df, size=(size, 2 * d - 1))
+    a, s = sq[:, :d], sq[:, d:]
+    i = np.arange(d)
+    t = np.zeros((size, d, d))
+    t[:, i, i] = a
+    t[:, i[1:], i[1:]] += s
+    t[:, i[1:], i[:-1]] = np.sqrt(a[:, :-1] * s)
+    return np.linalg.eigvalsh(t)[:, -1] / sq.sum(axis=1)
+
+
 def test_schmidt_tail_matches_literal_block_loop():
     d, samples, epsilon, stream = 3, 2500, 0.3, RngStream(31)
     threshold = 16.0 / (np.e * d) * exp(epsilon)
     exceed, top_sum, done, block = 0, 0.0, 0, 0
     while done < samples:
         size = min(1024, samples - done)
-        psi = haar_state_batch(d * d, stream.block_generator(block), size)
-        lam = np.linalg.svd(psi.reshape(size, d, d), compute_uv=False)[:, 0] ** 2
+        lam = _bidiagonal_tops(d, stream.block_generator(block), size)
         exceed += int(np.sum(lam >= threshold))
         top_sum += float(lam.sum())
         done += size
@@ -341,14 +353,15 @@ def test_schmidt_tail_matches_literal_block_loop():
     ids=["one", "chunk-1", "chunk+1", "block", "block+1"],
 )
 def test_streamed_schmidt_tail_matches_whole_block_svd(d, samples):
-    samples = samples(max(1, CHUNK_BYTES // (16 * d * d)))
+    # a chunk holds CHUNK_BYTES of the d x d float tridiagonals; the reference
+    # draws and diagonalises each block whole
+    samples = samples(max(1, CHUNK_BYTES // (8 * d * d)))
     epsilon, stream = 0.05, RngStream(32, d)
     threshold = 16.0 / (np.e * d) * exp(epsilon)
     exceed, top_sum = 0, 0.0
     for block, start in enumerate(range(0, samples, 1024)):
         size = min(1024, samples - start)
-        psi = haar_state_batch(d * d, stream.block_generator(block), size)
-        lam = np.linalg.svd(psi.reshape(size, d, d), compute_uv=False)[:, 0] ** 2
+        lam = _bidiagonal_tops(d, stream.block_generator(block), size)
         exceed += int(np.sum(lam >= threshold))
         top_sum += float(lam.sum())
     report = experiment_schmidt_tail(d, samples, epsilon, stream)
@@ -369,8 +382,8 @@ def test_projector_moment_matches_literal_block_loop(dim, rank, total, n):
     acc1, acc2, done, block = 0.0, 0.0, 0, 0
     while done < total:
         size = min(1024, total - done)
-        sq = np.square(stream.block_generator(block).standard_normal((size, 2 * dim)))
-        powered = (sq[:, : 2 * rank].sum(axis=1) / sq.sum(axis=1)) ** n
+        g = stream.block_generator(block).standard_gamma([rank, dim - rank], size=(size, 2))
+        powered = (g[:, 0] / (g[:, 0] + g[:, 1])) ** n
         acc1 += float(powered.sum())
         acc2 += float((powered**2).sum())
         done += size
@@ -380,3 +393,24 @@ def test_projector_moment_matches_literal_block_loop(dim, rank, total, n):
     est = mc_projector_moment(dim, rank, n, total, stream)
     assert np.float64(est.mean).tobytes() == np.float64(mean).tobytes()
     assert np.float64(est.stderr).tobytes() == np.float64(stderr).tobytes()
+
+
+def test_projector_moment_adds_many_spread_blocks_in_block_order():
+    # overlap^12 of a rank-one projector in C^16 spans orders of magnitude, so the
+    # 41 block sums are widely spread and adding them in another order rounds apart
+    dim, rank, n, total, stream = 16, 1, 12, 40 * 1024 + 7, RngStream(52, 16)
+    sums = []
+    for block, start in enumerate(range(0, total, 1024)):
+        g = stream.block_generator(block).standard_gamma([rank, dim - rank], size=(min(1024, total - start), 2))
+        powered = (g[:, 0] / (g[:, 0] + g[:, 1])) ** n
+        sums.append((float(powered.sum()), float((powered**2).sum())))
+
+    def estimate(order):
+        acc1, acc2 = reduce(lambda x, y: (x[0] + y[0], x[1] + y[1]), order)
+        mean = acc1 / total
+        return mean, float(np.sqrt(max(acc2 / total - mean**2, 0.0) / total))
+
+    assert estimate(sums[::-1]) != estimate(sums)
+    est = mc_projector_moment(dim, rank, n, total, stream)
+    assert np.float64(est.mean).tobytes() == np.float64(estimate(sums)[0]).tobytes()
+    assert np.float64(est.stderr).tobytes() == np.float64(estimate(sums)[1]).tobytes()

@@ -1,10 +1,12 @@
-"""The Haar states streamed chunk by chunk behind the Schmidt tail and the
+"""The draws streamed chunk by chunk behind the Schmidt tail and the
 projector moment, and the size guards on the Monte Carlo builders.
 
-A block is drawn by successive ``haar_state_batch`` calls, each drawing one
-chunk of rows straight into the same chunk-sized complex buffer through
-``out``; their rows, and the state they leave the block generator in, must
-equal one whole ``haar_state_batch`` draw.
+A block is drawn by successive calls, one a chunk of whole rows, each into
+the same chunk-sized buffer through ``out``: ``haar_state_batch`` for Haar
+states, ``schmidt_spectrum_batch`` for the Schmidt tail's chi-squares and
+tridiagonals, and ``Generator.standard_gamma`` for the projector moment's
+gamma pairs.  Their rows, and the state they leave the block generator in,
+must equal one whole-block draw.
 """
 
 import tracemalloc
@@ -23,6 +25,7 @@ from symsub.randomness import (
     haar_unitary,
     mc_projector_moment,
     random_projector,
+    schmidt_spectrum_batch,
 )
 from symsub.tensorspace import tensor_power_span_rank
 
@@ -43,6 +46,37 @@ def test_chunk_sized_buffer_gives_batch_rows_and_generator_state(d):
     got = np.concatenate(chunks)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert np.isnan(z[rows:]).all()
+    assert gen.standard_normal(5).tobytes() == batch_gen.standard_normal(5).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 9, 90])
+def test_chunked_schmidt_spectra_give_batch_rows_and_generator_state(d):
+    rows = chunk_rows(d * d)
+    count = 3 * rows + max(1, rows // 2)  # several whole chunks, then a partial one
+    batch_gen = RngStream(42, d).block_generator(0)
+    want = schmidt_spectrum_batch(d, batch_gen, count)
+    gen = RngStream(42, d).block_generator(0)
+    t = np.full((rows + 2, d * d), np.nan)
+    got = np.concatenate(
+        [schmidt_spectrum_batch(d, gen, min(rows, count - start), out=t) for start in range(0, count, rows)]
+    )
+    assert got.shape == (count, d) and got.tobytes() == want.tobytes()
+    assert np.isnan(t[rows:]).all()
+    assert gen.standard_normal(5).tobytes() == batch_gen.standard_normal(5).tobytes()
+
+
+@pytest.mark.parametrize("dim,rank", [(1, 1), (4, 1), (64, 8), (16384, 3)])
+def test_chunked_gamma_pairs_give_batch_rows_and_generator_state(dim, rank):
+    rows = 300  # a block of gamma pairs fits one chunk, but any split of whole rows must draw alike
+    count = 3 * rows + 17
+    batch_gen = RngStream(43, dim).block_generator(0)
+    want = batch_gen.standard_gamma([rank, dim - rank], size=(count, 2))
+    gen = RngStream(43, dim).block_generator(0)
+    pairs = np.empty((rows, 2))
+    got = np.concatenate(
+        [gen.standard_gamma([rank, dim - rank], out=pairs[: min(rows, count - start)]).copy() for start in range(0, count, rows)]
+    )
+    assert got.tobytes() == want.tobytes()
     assert gen.standard_normal(5).tobytes() == batch_gen.standard_normal(5).tobytes()
 
 
@@ -70,8 +104,9 @@ def test_projector_moment_traced_peak_is_a_few_chunks():
     assert peak <= 2 * 2**20
 
 
-def test_schmidt_tail_draws_two_normals_per_entry(monkeypatch):
-    drawn = []  # outside the generator, so copies of it count here too
+def test_schmidt_tail_draws_2d_minus_1_chisquares_a_sample(monkeypatch):
+    # the bidiagonal model draws no normals
+    normals, chisquares = [], []  # outside the generator, so copies of it count here too
 
     class Counting:
         def __init__(self, gen):
@@ -79,25 +114,40 @@ def test_schmidt_tail_draws_two_normals_per_entry(monkeypatch):
 
         def standard_normal(self, *args, **kwargs):
             x = self.gen.standard_normal(*args, **kwargs)
-            drawn.append(np.size(x))
+            normals.append(np.size(x))
+            return x
+
+        def chisquare(self, *args, **kwargs):
+            x = self.gen.chisquare(*args, **kwargs)
+            chisquares.append(np.size(x))
             return x
 
     block_generator = RngStream.block_generator
     monkeypatch.setattr(RngStream, "block_generator", lambda self, block: Counting(block_generator(self, block)))
     d, samples = 8, 1500
     experiment_schmidt_tail(d, samples, 0.2, RngStream(27))
-    assert sum(drawn) == 2 * d * d * samples
+    assert sum(chisquares) == (2 * d - 1) * samples
+    assert sum(normals) == 0
 
 
 def test_schmidt_tail_two_blocks_of_four_row_chunks_match_whole_block_svd():
-    d, samples, epsilon, stream = 64, 1025, 0.2, RngStream(41)
+    # d = 90: four 90 x 90 float tridiagonals fill a chunk; the reference draws
+    # and diagonalises each block whole
+    d, samples, epsilon, stream = 90, 1025, 0.2, RngStream(41)
     assert chunk_rows(d * d) == 4
     threshold = 16.0 / (np.e * d) * exp(epsilon)
+    df = 2.0 * np.array(list(range(d, 0, -1)) + list(range(d - 1, 0, -1)))
+    i = np.arange(d)
     exceed, top_sum = 0, 0.0
     for block, start in enumerate(range(0, samples, 1024)):
         size = min(1024, samples - start)
-        psi = haar_state_batch(d * d, stream.block_generator(block), size)
-        lam = np.linalg.svd(psi.reshape(size, d, d), compute_uv=False)[:, 0] ** 2
+        sq = stream.block_generator(block).chisquare(df, size=(size, 2 * d - 1))
+        a, s = sq[:, :d], sq[:, d:]
+        t = np.zeros((size, d, d))
+        t[:, i, i] = a
+        t[:, i[1:], i[1:]] += s
+        t[:, i[1:], i[:-1]] = np.sqrt(a[:, :-1] * s)
+        lam = np.linalg.eigvalsh(t)[:, -1] / sq.sum(axis=1)
         exceed += int(np.sum(lam >= threshold))
         top_sum += float(lam.sum())
     report = experiment_schmidt_tail(d, samples, epsilon, stream)
